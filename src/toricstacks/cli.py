@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .errors import IrregularLevel, NestingViolated, ToricStackError
+from .errors import ToricStackError
 from .geometry import (
     ToricStackData,
     is_regular_value_from_faces,
@@ -128,7 +128,7 @@ def build_report(data: ToricStackData, stages=None, numeric=None) -> tuple[dict,
     faces = meeting_faces(data)
     verdict = is_regular_value_from_faces(data, faces)
     poly = moment_polytope(data, faces=faces)
-    summary = stack_summary(data)
+    summary = stack_summary(data, faces=faces)
 
     inertia = None
     labels = None
@@ -337,9 +337,6 @@ def main(argv=None) -> int:
             report, code = run_analysis(doc, numeric_opts=opts)
         else:
             report, code = run_analysis(doc)
-    except (InputError, NestingViolated, IrregularLevel) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ToricStackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

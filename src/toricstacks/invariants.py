@@ -28,12 +28,11 @@ from .geometry import (
 )
 from .lattice import (
     FiniteAbelianGroup,
-    cokernel_structure,
     imat,
     integer_kernel_basis,
     smith_normal_form,
 )
-from .rational import frac, inv, qmat, rank, solve_matrix
+from .rational import frac, qmat, rank, solve_matrix
 
 __all__ = [
     "InertiaRecord",
@@ -65,44 +64,32 @@ class StackSummary:
     empty: bool
 
 
-def _congruence_lattice_basis(rows: np.ndarray, N: int) -> np.ndarray:
-    """Rational basis (rows) of {t in R^N : M t in Z^rows} for full-rank M.
-
-    Raises InfiniteStabilizer when the congruence set is not discrete.
-    """
-    snf = smith_normal_form(rows)
-    if snf.rank < N:
-        raise InfiniteStabilizer(
-            "congruence system has positive-dimensional solution set"
-        )
-    diag = snf.diagonal
-    basis = np.empty((N, N), dtype=object)
-    for i in range(N):
-        basis[i, :] = [Fraction(int(snf.V[k, i]), diag[i]) for k in range(N)]
-    return basis
-
-
-def _stabilizer_from_congruences(data: ToricStackData, B_like: np.ndarray,
-                                 face: OrthantFace) -> FiniteAbelianGroup:
-    N = data.N
-    free = [j for j in range(N) if j not in face.zeros]
-    rows = [list(B_like[i]) for i in range(B_like.shape[0])]
-    for j in free:
-        rows.append([int(j == k) for k in range(N)])
-    C = imat(rows, cols=N)
-    L = _congruence_lattice_basis(C, N)
-    coords = qmat(data.lattice_hat) @ inv(L)
-    return cokernel_structure(imat(coords))
-
-
 def stabilizer_on_face(data: ToricStackData, face: OrthantFace) -> FiniteAbelianGroup:
     """The A_hat-stabilizer of a point whose zero set is exactly `face`.
 
     It is the quotient L/lattice_hat of the congruence lattice
-    L = {t : B t in Z^n, t_j in Z off the face}. Raises InfiniteStabilizer
-    when the face carries dependent normal columns (the irregular case).
+    L = {t : C t in Z^m}, where C stacks the rows of B and the unit rows e_j
+    for every j off the face. By Pontryagin duality L/lattice_hat is
+    isomorphic to lattice_hat*/L*, and L* = C^T Z^m. In the basis of
+    lattice_hat* dual to the rows of lattice_hat, L* is spanned by the rows
+    of C . lattice_hat^T, so the stabilizer is read off one Smith normal form
+    of that integer matrix; no rational arithmetic is involved. Raises
+    InfiniteStabilizer when rank C < N, i.e. when the face carries dependent
+    normal columns (the irregular case).
     """
-    return _stabilizer_from_congruences(data, data.B, face)
+    N = data.N
+    C = [[int(x) for x in row] for row in data.B]
+    C += [[int(j == k) for k in range(N)] for j in range(N) if j not in face.zeros]
+    lam = [[int(x) for x in row] for row in data.lattice_hat]
+    snf = smith_normal_form(imat(
+        [[sum(c * l for c, l in zip(crow, lrow)) for lrow in lam] for crow in C],
+        cols=N,
+    ))
+    if snf.rank < N:
+        raise InfiniteStabilizer(
+            "congruence system has positive-dimensional solution set"
+        )
+    return FiniteAbelianGroup.from_diagonal(snf.diagonal)
 
 
 def inertia_table(data: ToricStackData,
@@ -143,9 +130,11 @@ def effectiveness_check(data: ToricStackData) -> bool:
     return any(len(f.zeros) == 0 for f in faces)
 
 
-def stack_summary(data: ToricStackData) -> StackSummary:
+def stack_summary(data: ToricStackData,
+                  faces: list[OrthantFace] | None = None) -> StackSummary:
     """Aggregate verdicts; degenerate cases are encoded in flags, not errors."""
-    faces = meeting_faces(data)
+    if faces is None:
+        faces = meeting_faces(data)
     verdict = is_regular_value_from_faces(data, faces)
     # any point of the closed level lies in the stratum of its own zero set,
     # so the level is empty exactly when no stratum meets
@@ -218,7 +207,7 @@ def _invariant_set(data: ToricStackData) -> dict:
     vertex_inertia = sorted(
         stabilizer_on_face(data, f).invariant_factors for f in vertex_faces
     )
-    summary = stack_summary(data)
+    summary = stack_summary(data, faces=faces)
     return {
         "dimension": summary.dimension,
         "gerbe": summary.gerbe.invariant_factors if summary.gerbe else (),

@@ -137,6 +137,35 @@ def test_reports_byte_identical_modulo_timing(capsys):
     assert canonical() == canonical()
 
 
+GOLDEN = sorted(json.loads((ROOT / "tests" / "golden_reports.json").read_text()).items())
+
+
+@pytest.mark.parametrize("case,expected", GOLDEN, ids=[case for case, _ in GOLDEN])
+def test_reports_match_golden(case, expected, capsys):
+    """analyze on every fixture and stages on every stages_* fixture.
+
+    tests/golden_reports.json holds each exit code and the canonical stdout
+    (the JSON report without timing_seconds, with sorted keys; "" when
+    nothing is printed). verify is left out: its floats can differ across
+    machines.
+    """
+    command, name = case.split(" ", 1)
+    code, out, _ = run_cli([command, FIXTURES / name], capsys)
+    canonical = ""
+    if out.strip():
+        doc = json.loads(out)
+        doc.pop("timing_seconds", None)
+        canonical = json.dumps(doc, sort_keys=True)
+    assert (code, canonical) == (expected["exit_code"], expected["stdout"])
+
+
+def test_golden_reports_cover_every_fixture():
+    assert {case for case, _ in GOLDEN} == (
+        {f"analyze {p.name}" for p in FIXTURES.glob("*.json")}
+        | {f"stages {p.name}" for p in FIXTURES.glob("stages_*.json")}
+    )
+
+
 def test_report_round_trips_rationals(capsys):
     _, out, _ = run_cli(["analyze", FIXTURES / "projective_plane.json"], capsys)
     doc = json.loads(out)

@@ -4,9 +4,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix, ZZ, diag
+from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from toricstacks import corpus
-from toricstacks.errors import IrregularLevel, NestingViolated
+from toricstacks.errors import InfiniteStabilizer, IrregularLevel, NestingViolated
 from toricstacks.geometry import OrthantFace, meeting_faces, toric_stack_data
 from toricstacks.invariants import (
     effectiveness_check,
@@ -89,6 +93,59 @@ def test_stabilizer_order_against_brute_force(build, zeros):
     data = build()
     order = stabilizer_on_face(data, OrthantFace(zeros)).order
     assert order == _brute_force_stabilizer_order(data, zeros)
+
+
+def _primal_stabilizer_factors(lattice_hat, B, zeros):
+    """Invariant factors of L/lattice_hat from an explicit basis of L, or None.
+
+    With D = S C T the sympy Smith form of the congruence matrix C (rows of
+    B, then e_j off the face), L = {t : C t in Z^m} has the row basis
+    diag(1/d) T^T, so the rows of lattice_hat have the integer coordinates
+    lattice_hat T^-T diag(d) in it. None means L is not a lattice
+    (rank C < N), i.e. the stabilizer is infinite.
+    """
+    N = len(lattice_hat)
+    C = Matrix([list(r) for r in B] +
+               [[int(j == k) for k in range(N)] for j in range(N) if j not in zeros])
+    if C.rows == 0 or C.rank() < N:
+        return None
+    D, S, T = smith_normal_decomp(C, domain=ZZ)
+    assert S * C * T == D
+    coords = Matrix(lattice_hat) * T.inv().T * diag(*[D[i, i] for i in range(N)])
+    assert all(x.is_integer for x in coords)
+    return tuple(abs(int(d)) for d in invariant_factors(coords, domain=ZZ)
+                 if abs(int(d)) != 1)
+
+
+@st.composite
+def _dense_stack_input(draw):
+    N = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    lattice_hat = draw(st.lists(st.lists(entry, min_size=N, max_size=N),
+                                min_size=N, max_size=N)
+                       .filter(lambda m: Matrix(m).det() != 0))
+    n = draw(st.integers(0, N))
+    B = draw(st.lists(st.lists(entry, min_size=N, max_size=N),
+                      min_size=n, max_size=n)
+             .filter(lambda m: not m or Matrix(m).rank() == len(m)))
+    return lattice_hat, B
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dense_stack_input())
+def test_stabilizer_matches_primal_reference_on_every_face(inp):
+    lattice_hat, B = inp
+    N = len(lattice_hat)
+    data = toric_stack_data(lattice_hat, B, [0] * N, N=N)
+    for size in range(N + 1):
+        for zeros in itertools.combinations(range(N), size):
+            expected = _primal_stabilizer_factors(lattice_hat, B, zeros)
+            if expected is None:
+                with pytest.raises(InfiniteStabilizer):
+                    stabilizer_on_face(data, OrthantFace(zeros))
+            else:
+                got = stabilizer_on_face(data, OrthantFace(zeros))
+                assert got.invariant_factors == expected, zeros
 
 
 def test_stabilizer_monotone_along_faces():
