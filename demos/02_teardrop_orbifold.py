@@ -5,7 +5,7 @@ sphere-like quotient whose moment segment carries facet labels (2, 1):
 the stabilizer along the x_1 = 0 pole has order two.
 """
 
-from toricstacks import OrthantFace, inertia_table, labeled_polytope, stabilizer_on_face
+from toricstacks import OrthantFace, analyze, inertia_table, labeled_polytope, stabilizer_on_face
 from toricstacks.corpus import teardrop
 
 
@@ -14,12 +14,13 @@ def main():
     print("input: B =", [list(r) for r in data.B],
           " level lift =", list(data.a_lift))
 
-    poly = labeled_polytope(data)
+    a = analyze(data)
+    poly = labeled_polytope(a)
     print("moment segment:", [tuple(v) for v in poly.v_rep])
     print("facet labels:", poly.facet_labels)
 
     print("inertia by stratum:")
-    for rec in inertia_table(data):
+    for rec in inertia_table(a):
         where = "generic" if rec.is_generic else f"zeros {rec.face.zeros}"
         print(f"  {where}: {rec.group} (order {rec.group.order})")
 

@@ -6,7 +6,7 @@ is zero-dimensional, yet every point carries the Z/2 automorphism group:
 the finite kernel of the covering acts trivially and survives as inertia.
 """
 
-from toricstacks import stack_summary
+from toricstacks import analyze
 from toricstacks.corpus import gerbe_over_point
 
 
@@ -15,7 +15,7 @@ def main():
     print("input: N = 1, sublattice index =", data.gamma.order,
           " level lift =", list(data.a_lift))
 
-    summary = stack_summary(data)
+    summary = analyze(data).summary
     print("regular:", summary.regular)
     print("real dimension:", summary.dimension)
     print("residual torus rank:", summary.residual_torus_dim)

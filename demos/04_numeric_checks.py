@@ -7,15 +7,16 @@ differences of the rotation flow, local freeness of the subgroup action
 form restricted to the level's tangent spaces.
 """
 
-from toricstacks import run_numeric_report
+from toricstacks import analyze, run_numeric_report
 from toricstacks.corpus import projective_line, teardrop
 
 
 def main():
     for name, build in (("projective line", projective_line),
                         ("teardrop", teardrop)):
-        rep = run_numeric_report(build(), samples=50, seed=0)
-        print(f"{name}:")
+        a = analyze(build())
+        print(f"{name}: regular level: {a.verdict.regular}")
+        rep = run_numeric_report(a, samples=50, seed=0)
         print(f"  samples on the level set: {rep.samples}")
         print(f"  worst moment-identity residual: {rep.max_moment_residual:.3e}")
         print(f"  worst level residual:           {rep.max_level_residual:.3e}")

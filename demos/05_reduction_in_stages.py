@@ -7,13 +7,17 @@ gerbe, vertex inertia, f-vector, and normalized volume; a deliberately
 corrupted declaration is shown to be caught.
 """
 
-from toricstacks import stages_verify, toric_stack_data
+from toricstacks import analyze, stages_verify, toric_stack_data
 from toricstacks.lattice import identity
 
 
 def main():
     outer = toric_stack_data(identity(3), [[0, 0, 1]], [1, 1, 1])
     inner_B = [[0, 1, 0], [0, 0, 1]]
+
+    a = analyze(outer)
+    print("one-shot quotient: dimension", a.summary.dimension,
+          "| f-vector", a.polytope.f_vector, "| bounded", a.polytope.bounded)
 
     rep = stages_verify(outer, inner_B)
     print("one-shot invariants:", rep.one_shot)

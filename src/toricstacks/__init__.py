@@ -30,31 +30,23 @@ from .lattice import (
     hermite_normal_form,
     imat,
     integer_kernel_basis,
-    lattice_quotient,
     smith_normal_form,
 )
 from .torus import (
     ClosedSubgroup,
-    ResidualTorus,
-    SubgroupHat,
     TorusExtension,
     make_extension,
-    preimage_in_extension,
-    residual_torus,
     subgroup_from_kernel,
 )
 from .geometry import (
-    AffineSlice,
+    Analysis,
     MomentPolytope,
     OrthantFace,
     RegularityVerdict,
     ToricStackData,
-    affine_slice,
+    analyze,
     face_meets_slice,
-    interior_meets_slice,
-    is_regular_value,
     meeting_faces,
-    moment_eval,
     moment_polytope,
     normalized_volume,
     toric_stack_data,
@@ -63,7 +55,6 @@ from .invariants import (
     InertiaRecord,
     StackSummary,
     StagesReport,
-    effectiveness_check,
     inertia_table,
     labeled_polytope,
     stabilizer_on_face,
@@ -94,21 +85,18 @@ __all__ = [
     "IrregularLevel", "NestingViolated", "IllConditioned",
     # lattice
     "imat", "det", "smith_normal_form", "hermite_normal_form",
-    "integer_kernel_basis", "cokernel_structure", "lattice_quotient",
+    "integer_kernel_basis", "cokernel_structure",
     "SmithDecomposition", "FiniteAbelianGroup",
     # torus
-    "TorusExtension", "ClosedSubgroup", "SubgroupHat", "ResidualTorus",
-    "make_extension", "subgroup_from_kernel", "preimage_in_extension",
-    "residual_torus",
+    "TorusExtension", "ClosedSubgroup", "make_extension",
+    "subgroup_from_kernel",
     # geometry
-    "ToricStackData", "toric_stack_data", "OrthantFace", "AffineSlice",
-    "RegularityVerdict", "MomentPolytope", "affine_slice", "moment_eval",
-    "face_meets_slice", "interior_meets_slice", "meeting_faces",
-    "is_regular_value", "moment_polytope", "normalized_volume",
+    "ToricStackData", "toric_stack_data", "OrthantFace", "RegularityVerdict",
+    "MomentPolytope", "Analysis", "analyze", "face_meets_slice",
+    "meeting_faces", "moment_polytope", "normalized_volume",
     # invariants
     "InertiaRecord", "StackSummary", "StagesReport", "stabilizer_on_face",
-    "inertia_table", "effectiveness_check", "stack_summary",
-    "labeled_polytope", "stages_verify",
+    "inertia_table", "stack_summary", "labeled_polytope", "stages_verify",
     # numeric
     "GENERATOR_SPEED", "SamplePoint", "NumericReport", "omega",
     "generator_field", "check_moment_equation", "check_local_freeness",

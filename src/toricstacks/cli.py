@@ -19,19 +19,8 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ToricStackError
-from .geometry import (
-    ToricStackData,
-    is_regular_value_from_faces,
-    meeting_faces,
-    moment_polytope,
-    toric_stack_data,
-)
-from .invariants import (
-    inertia_table,
-    labeled_polytope,
-    stack_summary,
-    stages_verify,
-)
+from .geometry import Analysis, ToricStackData, analyze, toric_stack_data
+from .invariants import inertia_table, labeled_polytope, stages_verify
 from .numeric import run_numeric_report
 
 EXIT_OK = 0
@@ -122,18 +111,15 @@ def _echo_input(data: ToricStackData, stages) -> dict:
     return out
 
 
-def build_report(data: ToricStackData, stages=None, numeric=None) -> tuple[dict, int]:
+def build_report(analysis: Analysis, stages=None, numeric=None) -> tuple[dict, int]:
     """Assemble the analysis report and its exit code."""
     t0 = time.perf_counter()
-    faces = meeting_faces(data)
-    verdict = is_regular_value_from_faces(data, faces)
-    poly = moment_polytope(data, faces=faces)
-    summary = stack_summary(data, faces=faces)
+    verdict, poly, summary = analysis.verdict, analysis.polytope, analysis.summary
 
     inertia = None
     labels = None
     if verdict.regular and not summary.empty:
-        poly = labeled_polytope(data, faces=faces, poly=poly)
+        poly = labeled_polytope(analysis)
         labels = list(poly.facet_labels)
         inertia = [
             {
@@ -142,12 +128,12 @@ def build_report(data: ToricStackData, stages=None, numeric=None) -> tuple[dict,
                 "order": rec.group.order,
                 "generic": rec.is_generic,
             }
-            for rec in inertia_table(data, faces=faces)
+            for rec in inertia_table(analysis)
         ]
 
     report = {
         "tool": {"name": "toricstacks", "version": __version__},
-        "input": _echo_input(data, stages),
+        "input": _echo_input(analysis.data, stages),
         "regular": verdict.regular,
         "witness": _face_json(verdict.witness.zeros) if verdict.witness else None,
         "empty": summary.empty,
@@ -277,13 +263,11 @@ def _text_summary(doc: dict) -> str:
 
 def run_analysis(doc: dict, numeric_opts: dict | None = None) -> tuple[dict, int]:
     data, stages = parse_input(doc)
+    analysis = analyze(data)
     numeric = None
-    if numeric_opts is not None:
-        faces = meeting_faces(data)
-        verdict = is_regular_value_from_faces(data, faces)
-        if verdict.regular and any(len(f.zeros) == 0 for f in faces):
-            numeric = _numeric_json(run_numeric_report(data, **numeric_opts))
-    return build_report(data, stages=stages, numeric=numeric)
+    if numeric_opts is not None and analysis.verdict.regular and analysis.meets_interior:
+        numeric = _numeric_json(run_numeric_report(analysis, **numeric_opts))
+    return build_report(analysis, stages=stages, numeric=numeric)
 
 
 def run_stages(doc: dict) -> tuple[dict, int]:

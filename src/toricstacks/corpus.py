@@ -8,8 +8,6 @@ and deliberately degenerate inputs (irregular level, empty level).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .geometry import ToricStackData, toric_stack_data
 from .lattice import identity
 

@@ -5,6 +5,10 @@ residual-torus coordinates lambda through x = a_lift + B^T lambda. Faces of
 the orthant are indexed by the set J of coordinates forced to zero; a face
 "meets the slice" when the corresponding stratum {x_j = 0 on J, x_j > 0 off J}
 is nonempty, which is decided by exact rational feasibility.
+
+`analyze(data)` returns the Analysis of one input: the meeting faces, the
+rank of the normal columns on each, the regularity verdict, the polytope
+and its volume, each computed at most once and only when first read.
 """
 
 from __future__ import annotations
@@ -12,34 +16,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .lattice import imat
+from .lattice import FiniteAbelianGroup
 from .rational import feasible, frac, qmat, qvec, rank, solve
-from .torus import (
-    ClosedSubgroup,
-    SubgroupHat,
-    TorusExtension,
-    make_extension,
-    preimage_in_extension,
-    subgroup_from_kernel,
-)
+from .torus import ClosedSubgroup, TorusExtension, make_extension, subgroup_from_kernel
 
 __all__ = [
     "ToricStackData",
     "toric_stack_data",
     "OrthantFace",
-    "AffineSlice",
     "RegularityVerdict",
     "MomentPolytope",
-    "moment_eval",
+    "Analysis",
+    "analyze",
     "face_meets_slice",
-    "face_meets_slice_closed",
-    "interior_meets_slice",
     "meeting_faces",
-    "is_regular_value",
     "moment_polytope",
     "normalized_volume",
 ]
@@ -51,7 +46,6 @@ class ToricStackData:
 
     ext: TorusExtension
     subgroup: ClosedSubgroup
-    subgroup_hat: SubgroupHat
     a_lift: np.ndarray  # Fractions, length N
 
     @property
@@ -85,9 +79,7 @@ def toric_stack_data(lattice_hat, B, a_lift, N: int | None = None) -> ToricStack
         raise DimensionMismatch(f"B has {sub.N} columns, expected {N}")
     if len(a_lift) != N:
         raise DimensionMismatch(f"a_lift has length {len(a_lift)}, expected {N}")
-    hat = preimage_in_extension(ext, sub)
-    return ToricStackData(ext=ext, subgroup=sub, subgroup_hat=hat,
-                          a_lift=qvec([frac(x) for x in a_lift]))
+    return ToricStackData(ext=ext, subgroup=sub, a_lift=qvec([frac(x) for x in a_lift]))
 
 
 @dataclass(frozen=True)
@@ -103,41 +95,8 @@ class OrthantFace:
         return len(self.zeros)
 
 
-@dataclass(frozen=True)
-class AffineSlice:
-    """V_a = {a_lift + B^T lambda}, the slice of (R^N)* carrying the level set."""
-
-    base: np.ndarray
-    direction_basis: np.ndarray  # rows of B
-
-    def point_at(self, lam) -> np.ndarray:
-        lam = qvec([frac(x) for x in lam])
-        return self.base + self.direction_basis.T @ lam if len(lam) else self.base
-
-
-def affine_slice(data: ToricStackData) -> AffineSlice:
-    return AffineSlice(base=data.a_lift, direction_basis=qmat(data.B))
-
-
-def moment_eval(z):
-    """Moment map of the big torus: z -> (|z_1|^2, ..., |z_N|^2).
-
-    Accepts complex entries (float output) or (re, im) pairs of rationals
-    (exact output).
-    """
-    out = []
-    for zj in z:
-        if isinstance(zj, tuple):
-            re, im = frac(zj[0]), frac(zj[1])
-            out.append(re * re + im * im)
-        else:
-            zj = complex(zj)
-            out.append(zj.real * zj.real + zj.imag * zj.imag)
-    return tuple(out)
-
-
-def _face_system(data: ToricStackData, zeros, strict: bool):
-    """Equalities on `zeros` plus (strict) inequalities elsewhere."""
+def _face_system(data: ToricStackData, zeros):
+    """Equalities on `zeros` plus strict inequalities elsewhere."""
     B, a = data.B, data.a_lift
     zset = set(zeros)
     eqs, ineqs = [], []
@@ -146,24 +105,14 @@ def _face_system(data: ToricStackData, zeros, strict: bool):
         if j in zset:
             eqs.append((coeffs, a[j]))
         else:
-            ineqs.append((coeffs, a[j], strict))
+            ineqs.append((coeffs, a[j], True))
     return eqs, ineqs
 
 
 def face_meets_slice(data: ToricStackData, face: OrthantFace) -> bool:
     """Does the open stratum {x_j = 0 on J, x_j > 0 off J} intersect the slice?"""
-    eqs, ineqs = _face_system(data, face.zeros, strict=True)
+    eqs, ineqs = _face_system(data, face.zeros)
     return feasible(eqs, ineqs, data.n)
-
-
-def face_meets_slice_closed(data: ToricStackData, face: OrthantFace) -> bool:
-    """Weak variant: the closed face against the closed slice."""
-    eqs, ineqs = _face_system(data, face.zeros, strict=False)
-    return feasible(eqs, ineqs, data.n)
-
-
-def interior_meets_slice(data: ToricStackData) -> bool:
-    return face_meets_slice(data, OrthantFace(()))
 
 
 def meeting_faces(data: ToricStackData) -> list[OrthantFace]:
@@ -180,7 +129,7 @@ def meeting_faces(data: ToricStackData) -> list[OrthantFace]:
             Jset = frozenset(J)
             if any(d <= Jset for d in dead):
                 continue
-            eqs, _ = _face_system(data, J, strict=True)
+            eqs, _ = _face_system(data, J)
             if eqs and not feasible(eqs, [], data.n):
                 dead.append(Jset)
                 continue
@@ -199,25 +148,10 @@ def _columns(data: ToricStackData, zeros) -> np.ndarray:
     return picked
 
 
-def _independent(data: ToricStackData, zeros) -> bool:
-    return rank(_columns(data, zeros)) == len(zeros)
-
-
 @dataclass(frozen=True)
 class RegularityVerdict:
     regular: bool
     witness: OrthantFace | None = None
-
-
-def is_regular_value(data: ToricStackData) -> RegularityVerdict:
-    """Regular iff every meeting face has independent normal columns.
-
-    On failure the lexicographically smallest witness J is returned.
-    """
-    witnesses = [f.zeros for f in meeting_faces(data) if not _independent(data, f.zeros)]
-    if not witnesses:
-        return RegularityVerdict(regular=True)
-    return RegularityVerdict(regular=False, witness=OrthantFace(min(witnesses)))
 
 
 @dataclass(frozen=True)
@@ -236,6 +170,64 @@ class MomentPolytope:
 
     def with_labels(self, labels) -> "MomentPolytope":
         return replace(self, facet_labels=tuple(int(x) for x in labels))
+
+
+class Analysis:
+    """The facts of one input, each computed at most once, when first read.
+
+    Every fact comes from the faces whose open strata meet the slice. The
+    cached properties call the module-level function of their layer, so a
+    caller sees the same functions whether or not it goes through here.
+    `stabilizers` memoizes the inertia group per face (keyed by its zeros);
+    the invariants layer fills it.
+    """
+
+    def __init__(self, data: ToricStackData):
+        self.data = data
+        self.stabilizers: dict[tuple, FiniteAbelianGroup] = {}
+
+    @cached_property
+    def faces(self) -> list[OrthantFace]:
+        return meeting_faces(self.data)
+
+    @cached_property
+    def ranks(self) -> dict[tuple, int]:
+        """Rank of the columns of B on J, for the zeros J of every meeting face."""
+        return {f.zeros: rank(_columns(self.data, f.zeros)) for f in self.faces}
+
+    @property
+    def meets_interior(self) -> bool:
+        """Does the open orthant meet the slice? Faces come sorted by |J|."""
+        return bool(self.faces) and not self.faces[0].zeros
+
+    @cached_property
+    def verdict(self) -> RegularityVerdict:
+        """Regular iff every meeting face has independent normal columns.
+
+        On failure the lexicographically smallest witness J is returned.
+        """
+        witnesses = [J for J, r in self.ranks.items() if r < len(J)]
+        if not witnesses:
+            return RegularityVerdict(regular=True)
+        return RegularityVerdict(regular=False, witness=OrthantFace(min(witnesses)))
+
+    @cached_property
+    def polytope(self) -> MomentPolytope:
+        return moment_polytope(self)
+
+    @cached_property
+    def volume(self):
+        return normalized_volume(self)
+
+    @cached_property
+    def summary(self):
+        from .invariants import stack_summary  # invariants imports this module
+        return stack_summary(self)
+
+
+def analyze(data: ToricStackData) -> Analysis:
+    """The Analysis of `data`; nothing is computed until a fact is read."""
+    return Analysis(data)
 
 
 def _vertices(data: ToricStackData) -> list[tuple]:
@@ -278,47 +270,33 @@ def _bounded(data: ToricStackData) -> bool:
     return not feasible([], ineqs, data.n)
 
 
-def moment_polytope(data: ToricStackData,
-                    faces: list[OrthantFace] | None = None) -> MomentPolytope:
+def moment_polytope(analysis: Analysis) -> MomentPolytope:
     """H- and V-representations of Delta with facet and face bookkeeping.
 
     The facet_labels slot is left unset here; the stack-invariants layer
     fills it from the stabilizer orders.
     """
-    if faces is None:
-        faces = meeting_faces(data)
-    verdict = is_regular_value_from_faces(data, faces)
+    data = analysis.data
     B, a = qmat(data.B), data.a_lift
     h_rep = tuple(
         (tuple(B[i, j] for i in range(data.n)), a[j]) for j in range(data.N)
     )
-    v_rep = tuple(_vertices(data))
-    meeting = {f.zeros for f in faces}
+    meeting = {f.zeros for f in analysis.faces}
     redundant = tuple((j,) not in meeting for j in range(data.N))
     counts = [0] * (data.n + 1)
-    for f in faces:
-        dim = data.n - rank(_columns(data, f.zeros))
-        counts[dim] += 1
-    empty = not face_meets_slice_closed(data, OrthantFace(()))
+    for r in analysis.ranks.values():
+        counts[data.n - r] += 1
     return MomentPolytope(
         n=data.n,
         h_rep=h_rep,
-        v_rep=v_rep,
+        v_rep=tuple(_vertices(data)),
         redundant=redundant,
         facet_labels=None,
         f_vector=tuple(counts),
         bounded=_bounded(data),
-        empty=empty,
-        regular=verdict.regular,
+        empty=not analysis.faces,  # as in stack_summary
+        regular=analysis.verdict.regular,
     )
-
-
-def is_regular_value_from_faces(data: ToricStackData,
-                                faces: list[OrthantFace]) -> RegularityVerdict:
-    witnesses = [f.zeros for f in faces if not _independent(data, f.zeros)]
-    if not witnesses:
-        return RegularityVerdict(regular=True)
-    return RegularityVerdict(regular=False, witness=OrthantFace(min(witnesses)))
 
 
 def _qdet(A: np.ndarray) -> Fraction:
@@ -339,18 +317,13 @@ def _qdet(A: np.ndarray) -> Fraction:
     return det
 
 
-def normalized_volume(data: ToricStackData,
-                      poly: MomentPolytope | None = None,
-                      faces: list[OrthantFace] | None = None):
+def normalized_volume(analysis: Analysis):
     """Lattice-normalized volume of Delta (n! times Euclidean volume).
 
     Returns a Fraction for bounded nonempty polytopes, None when unbounded,
     and Fraction(0) when empty. A point (n = 0) has volume 1.
     """
-    if faces is None:
-        faces = meeting_faces(data)
-    if poly is None:
-        poly = moment_polytope(data, faces=faces)
+    data, poly = analysis.data, analysis.polytope
     if poly.empty:
         return Fraction(0)
     if not poly.bounded:
@@ -372,7 +345,7 @@ def normalized_volume(data: ToricStackData,
         zset = set(zeros)
         return sorted(t for t, tight in vert_tight if zset <= tight)
 
-    face_sets = [f.zeros for f in faces]
+    face_sets = [f.zeros for f in analysis.faces]
 
     def children(zeros):
         sups = [z for z in face_sets if set(zeros) < set(z)]
@@ -384,7 +357,8 @@ def normalized_volume(data: ToricStackData,
 
     def triangulate(zeros):
         fverts = face_vertices(zeros)
-        dim = n - rank(_columns(data, zeros))
+        # the empty J need not meet the slice; its columns have rank 0
+        dim = n - analysis.ranks[zeros] if zeros else n
         if dim == 0:
             return [list(fverts[:1])]
         v0 = fverts[0]

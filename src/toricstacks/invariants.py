@@ -12,18 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfiniteStabilizer, IrregularLevel, NestingViolated, ToricStackError
+from .errors import InfiniteStabilizer, IrregularLevel, NestingViolated
 from .geometry import (
+    Analysis,
     MomentPolytope,
     OrthantFace,
-    RegularityVerdict,
     ToricStackData,
-    _columns,
-    interior_meets_slice,
-    is_regular_value_from_faces,
-    meeting_faces,
-    moment_polytope,
-    normalized_volume,
+    analyze,
     toric_stack_data,
 )
 from .lattice import (
@@ -40,7 +35,6 @@ __all__ = [
     "StagesReport",
     "stabilizer_on_face",
     "inertia_table",
-    "effectiveness_check",
     "stack_summary",
     "labeled_polytope",
     "stages_verify",
@@ -92,12 +86,17 @@ def stabilizer_on_face(data: ToricStackData, face: OrthantFace) -> FiniteAbelian
     return FiniteAbelianGroup.from_diagonal(snf.diagonal)
 
 
-def inertia_table(data: ToricStackData,
-                  faces: list[OrthantFace] | None = None) -> list[InertiaRecord]:
+def _stabilizer(analysis: Analysis, face: OrthantFace) -> FiniteAbelianGroup:
+    """stabilizer_on_face through the memo of `analysis`: once per face."""
+    memo = analysis.stabilizers
+    if face.zeros not in memo:
+        memo[face.zeros] = stabilizer_on_face(analysis.data, face)
+    return memo[face.zeros]
+
+
+def inertia_table(analysis: Analysis) -> list[InertiaRecord]:
     """One record per meeting face, ordered by |J| then lexicographically."""
-    if faces is None:
-        faces = meeting_faces(data)
-    verdict = is_regular_value_from_faces(data, faces)
+    verdict = analysis.verdict
     if not verdict.regular:
         raise IrregularLevel(
             f"level is irregular; witness face {verdict.witness.zeros}"
@@ -105,37 +104,22 @@ def inertia_table(data: ToricStackData,
     return [
         InertiaRecord(
             face=f,
-            group=stabilizer_on_face(data, f),
+            group=_stabilizer(analysis, f),
             is_generic=(len(f.zeros) == 0),
         )
-        for f in faces
+        for f in analysis.faces
     ]
 
 
-def effectiveness_check(data: ToricStackData) -> bool:
-    """Is the residual torus action on the coarse space effective?
+def stack_summary(analysis: Analysis) -> StackSummary:
+    """Aggregate verdicts; degenerate cases are encoded in flags, not errors.
 
-    Verified (not assumed) through the existence of a point with free big-torus
-    orbit on the level: the interior of the orthant must meet the slice. The
-    trivial residual torus (n = 0) acts effectively by convention.
+    The residual torus acts effectively on the coarse space when some point
+    of the level has a free big-torus orbit, i.e. when the open orthant meets
+    the slice; the trivial residual torus (n = 0) acts effectively by
+    convention.
     """
-    faces = meeting_faces(data)
-    verdict = is_regular_value_from_faces(data, faces)
-    if not verdict.regular:
-        raise IrregularLevel("effectiveness is only defined on regular levels")
-    if not faces:
-        raise ToricStackError("empty level set has no residual action to test")
-    if data.n == 0:
-        return True
-    return any(len(f.zeros) == 0 for f in faces)
-
-
-def stack_summary(data: ToricStackData,
-                  faces: list[OrthantFace] | None = None) -> StackSummary:
-    """Aggregate verdicts; degenerate cases are encoded in flags, not errors."""
-    if faces is None:
-        faces = meeting_faces(data)
-    verdict = is_regular_value_from_faces(data, faces)
+    data, faces, verdict = analysis.data, analysis.faces, analysis.verdict
     # any point of the closed level lies in the stratum of its own zero set,
     # so the level is empty exactly when no stratum meets
     empty = not faces
@@ -148,34 +132,25 @@ def stack_summary(data: ToricStackData,
             regular=verdict.regular,
             empty=empty,
         )
-    gerbe = stabilizer_on_face(data, faces[0])
-    effective = True if data.n == 0 else any(len(f.zeros) == 0 for f in faces)
     return StackSummary(
         dimension=2 * data.n,
         residual_torus_dim=data.n,
-        gerbe=gerbe,
-        effective=effective,
+        gerbe=_stabilizer(analysis, faces[0]),
+        effective=data.n == 0 or analysis.meets_interior,
         regular=True,
         empty=False,
     )
 
 
-def labeled_polytope(data: ToricStackData,
-                     faces: list[OrthantFace] | None = None,
-                     poly: MomentPolytope | None = None) -> MomentPolytope:
+def labeled_polytope(analysis: Analysis) -> MomentPolytope:
     """Attach facet labels (stabilizer orders on open facets) to the polytope."""
-    if faces is None:
-        faces = meeting_faces(data)
-    if poly is None:
-        poly = moment_polytope(data, faces=faces)
-    meeting = {f.zeros for f in faces}
-    labels = []
-    for j in range(data.N):
-        if (j,) in meeting and _columns(data, (j,)).size:
-            labels.append(stabilizer_on_face(data, OrthantFace((j,))).order)
-        else:
-            labels.append(1)
-    return poly.with_labels(labels)
+    meeting = {f.zeros for f in analysis.faces}
+    labels = [
+        _stabilizer(analysis, OrthantFace((j,))).order
+        if (j,) in meeting and analysis.data.n else 1
+        for j in range(analysis.data.N)
+    ]
+    return analysis.polytope.with_labels(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -195,25 +170,23 @@ class StagesReport:
 _COMPARED = ("dimension", "gerbe", "vertex_inertia", "f_vector", "volume")
 
 
-def _invariant_set(data: ToricStackData) -> dict:
-    faces = meeting_faces(data)
-    verdict = is_regular_value_from_faces(data, faces)
+def _invariant_set(analysis: Analysis) -> dict:
+    verdict = analysis.verdict
     if not verdict.regular:
         raise IrregularLevel(
             f"stages comparison requires a regular level; witness {verdict.witness.zeros}"
         )
-    poly = moment_polytope(data, faces=faces)
-    vertex_faces = [f for f in faces if rank(_columns(data, f.zeros)) == data.n]
     vertex_inertia = sorted(
-        stabilizer_on_face(data, f).invariant_factors for f in vertex_faces
+        _stabilizer(analysis, f).invariant_factors for f in analysis.faces
+        if analysis.ranks[f.zeros] == analysis.data.n
     )
-    summary = stack_summary(data, faces=faces)
+    summary = analysis.summary
     return {
         "dimension": summary.dimension,
         "gerbe": summary.gerbe.invariant_factors if summary.gerbe else (),
         "vertex_inertia": tuple(vertex_inertia),
-        "f_vector": poly.f_vector,
-        "volume": normalized_volume(data, poly=poly, faces=faces),
+        "f_vector": analysis.polytope.f_vector,
+        "volume": analysis.volume,
     }
 
 
@@ -259,10 +232,8 @@ def stages_verify(outer: ToricStackData, inner_B,
         raise NestingViolated(f"inner B has {B1.shape[1]} columns, expected {N}")
     _check_nesting(B1, B2)
 
-    inner = toric_stack_data(outer.lattice_hat, B1, list(outer.a_lift), N=N)
-    inner_faces = meeting_faces(inner)
-    inner_verdict = is_regular_value_from_faces(inner, inner_faces)
-    if not inner_verdict.regular:
+    inner = analyze(toric_stack_data(outer.lattice_hat, B1, list(outer.a_lift), N=N))
+    if not inner.verdict.regular:
         raise IrregularLevel("inner stage is irregular; stages undefined")
 
     # factor B2 through the first residual torus: B2 = C B1
@@ -280,22 +251,19 @@ def stages_verify(outer: ToricStackData, inner_B,
 
     # rebuild the second-stage subgroup data from the first-stage H-rep:
     # row j of the staged system is <C . (first-stage normal_j), kappa> + a_j
-    inner_poly = moment_polytope(inner, faces=inner_faces)
     n2 = C.shape[0]
     staged_B = np.empty((n2, N), dtype=object)
-    for j, (normal, _offset) in enumerate(inner_poly.h_rep):
+    for j, (normal, _offset) in enumerate(inner.polytope.h_rep):
         col = [sum(int(C[i, k]) * int(normal[k]) for k in range(len(normal)))
                for i in range(n2)]
         for i in range(n2):
             staged_B[i, j] = col[i]
     staged = toric_stack_data(outer.lattice_hat, staged_B, list(outer.a_lift), N=N)
 
-    one_shot_inv = _invariant_set(outer)
-    staged_inv = _invariant_set(staged)
+    one_shot_inv = _invariant_set(analyze(outer))
+    staged_inv = _invariant_set(analyze(staged))
     # staged dimension re-derived from the factorization, not from B2
     staged_inv["dimension"] = 2 * rank(qmat(C)) if C.size else 0
-    if n2 == 0:
-        staged_inv["dimension"] = 0
 
     detail = None
     for key in _COMPARED:

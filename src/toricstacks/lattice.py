@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotFiniteIndex, NotSublattice
-from .rational import inv, qmat
 
 __all__ = [
     "imat",
@@ -26,7 +25,6 @@ __all__ = [
     "integer_kernel_basis",
     "FiniteAbelianGroup",
     "cokernel_structure",
-    "lattice_quotient",
 ]
 
 
@@ -305,15 +303,3 @@ def cokernel_structure(M: np.ndarray) -> FiniteAbelianGroup:
             f"row lattice has rank {snf.rank} < {n}, quotient is infinite"
         )
     return FiniteAbelianGroup.from_diagonal(snf.diagonal)
-
-
-def lattice_quotient(sup_basis: np.ndarray, sub_basis: np.ndarray) -> FiniteAbelianGroup:
-    """Structure of (lattice spanned by sup_basis) / (lattice of sub_basis).
-
-    Both arguments are full-rank rational basis matrices (rows) of lattices
-    in the same ambient space, with sub contained in sup at finite index.
-    """
-    if sup_basis.shape != sub_basis.shape:
-        raise ValueError("lattices must have equal rank in the same space")
-    coords = qmat(sub_basis) @ inv(qmat(sup_basis))
-    return cokernel_structure(imat(coords))

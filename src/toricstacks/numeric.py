@@ -23,12 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyInterior, IllConditioned
-from .geometry import (
-    OrthantFace,
-    ToricStackData,
-    meeting_faces,
-    moment_polytope,
-)
+from .geometry import Analysis, ToricStackData
 from .rational import frac, qmat
 
 __all__ = [
@@ -175,16 +170,15 @@ class SamplePoint:
     residual_level_error: float
 
 
-def sample_level_points(data: ToricStackData, count: int, seed: int) -> list[SamplePoint]:
+def sample_level_points(analysis: Analysis, count: int, seed: int) -> list[SamplePoint]:
     """Points of Z with exact-by-construction moduli and random phases.
 
     Interior lambda values are drawn by rejection from a rational bounding
     box around the vertices (denominator 4096), then z_j = sqrt(x_j) e^{i phi}.
     """
-    faces = meeting_faces(data)
-    if not any(len(f.zeros) == 0 for f in faces):
+    if not analysis.meets_interior:
         raise EmptyInterior("the slice misses the open orthant; nothing to sample")
-    poly = moment_polytope(data, faces=faces)
+    data, poly = analysis.data, analysis.polytope
     n, N = data.n, data.N
     B, a = qmat(data.B), data.a_lift
     rng = random.Random(seed)
@@ -252,13 +246,14 @@ class NumericReport:
     tolerances: dict
 
 
-def run_numeric_report(data: ToricStackData, samples: int = 100, seed: int = 0,
+def run_numeric_report(analysis: Analysis, samples: int = 100, seed: int = 0,
                        tol: float = 1e-8, fd_step: float = 1e-5) -> NumericReport:
     """Aggregate numeric verification over sampled level points.
 
-    Deterministic for fixed (data, samples, seed, tol, fd_step).
+    Deterministic for fixed (input, samples, seed, tol, fd_step).
     """
-    pts = sample_level_points(data, samples, seed)
+    data = analysis.data
+    pts = sample_level_points(analysis, samples, seed)
     rng = random.Random(seed ^ 0x5EED)
     max_moment = 0.0
     max_level = 0.0

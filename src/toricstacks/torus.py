@@ -25,12 +25,8 @@ from .rational import qmat, rank
 __all__ = [
     "TorusExtension",
     "ClosedSubgroup",
-    "SubgroupHat",
-    "ResidualTorus",
     "make_extension",
     "subgroup_from_kernel",
-    "preimage_in_extension",
-    "residual_torus",
 ]
 
 
@@ -65,28 +61,6 @@ class ClosedSubgroup:
         return self.N - self.n
 
 
-@dataclass(frozen=True)
-class SubgroupHat:
-    """The preimage A_hat of A in T^N_hat, cut out by the congruences B t in Z^n."""
-
-    parent: TorusExtension
-    base: ClosedSubgroup
-
-    def component_group(self) -> FiniteAbelianGroup:
-        """pi_0(A_hat) = Z^n / B(lattice_hat), via SNF of the image lattice."""
-        image = imat(self.parent.lattice_hat @ self.base.B.T,
-                     cols=self.base.n)
-        return cokernel_structure(image)
-
-
-@dataclass(frozen=True)
-class ResidualTorus:
-    """G = T^N_hat / A_hat = T^N / A, identified with T^n through B."""
-
-    n: int
-    identification: np.ndarray
-
-
 def make_extension(N: int, lattice_hat) -> TorusExtension:
     """Validate a finite-index sublattice of Z^N and compute Gamma."""
     L = imat(lattice_hat, cols=N)
@@ -112,17 +86,3 @@ def subgroup_from_kernel(B, N: int | None = None) -> ClosedSubgroup:
         annihilator_basis=annihilator,
         component_group=pi0,
     )
-
-
-def preimage_in_extension(ext: TorusExtension, A: ClosedSubgroup) -> SubgroupHat:
-    if A.N != ext.N:
-        raise DimensionMismatch(
-            f"subgroup lives in T^{A.N} but the extension covers T^{ext.N}"
-        )
-    # B is integral, so every coset of lattice_hat inside Z^N satisfies the
-    # congruences: Gamma <= A_hat holds by construction.
-    return SubgroupHat(parent=ext, base=A)
-
-
-def residual_torus(A: ClosedSubgroup) -> ResidualTorus:
-    return ResidualTorus(n=A.n, identification=A.B)

@@ -13,18 +13,11 @@ import numpy as np
 import pytest
 
 from toricstacks import corpus
-from toricstacks.geometry import (
-    OrthantFace,
-    is_regular_value,
-    meeting_faces,
-    moment_polytope,
-    toric_stack_data,
-)
+from toricstacks.geometry import OrthantFace, analyze, toric_stack_data
 from toricstacks.invariants import (
     inertia_table,
     labeled_polytope,
     stabilizer_on_face,
-    stack_summary,
     stages_verify,
 )
 from toricstacks.lattice import cokernel_structure, det, identity, imat, smith_normal_form
@@ -51,15 +44,16 @@ def test_criterion_01_classical_projective_corpus():
     ok = True
     for build, nverts in ((corpus.projective_line, 2), (corpus.projective_plane, 3)):
         data = build()
-        s = stack_summary(data)
-        poly = moment_polytope(data)
-        table = inertia_table(data)
+        a = analyze(data)
+        s = a.summary
+        poly = a.polytope
+        table = inertia_table(a)
         ok = ok and s.regular and s.effective and s.gerbe.is_trivial
         ok = ok and s.dimension == 2 * data.n  # twice the residual torus rank
         ok = ok and len(poly.v_rep) == nverts
         ok = ok and all(r.group.is_trivial for r in table)
     # segment of lattice length 1
-    seg = moment_polytope(corpus.projective_line()).v_rep
+    seg = analyze(corpus.projective_line()).polytope.v_rep
     ok = ok and seg[1][0] - seg[0][0] == 1
     _verdict(1, "classical projective corpus (segment and triangle)",
              ok, time.perf_counter() - t0, 1.0)
@@ -67,17 +61,17 @@ def test_criterion_01_classical_projective_corpus():
 
 def test_criterion_02_teardrop_inertia_and_labels():
     t0 = time.perf_counter()
-    data = corpus.teardrop()
-    table = {r.face.zeros: r.group.invariant_factors for r in inertia_table(data)}
+    a = analyze(corpus.teardrop())
+    table = {r.face.zeros: r.group.invariant_factors for r in inertia_table(a)}
     ok = table == {(): (), (0,): (2,), (1,): ()}
-    ok = ok and labeled_polytope(data).facet_labels == (2, 1)
+    ok = ok and labeled_polytope(a).facet_labels == (2, 1)
     _verdict(2, "teardrop inertia table and facet labels (2, 1)",
              ok, time.perf_counter() - t0, 1.0)
 
 
 def test_criterion_03_gerbe_fixture():
     t0 = time.perf_counter()
-    s = stack_summary(corpus.gerbe_over_point())
+    s = analyze(corpus.gerbe_over_point()).summary
     ok = s.dimension == 0 and s.gerbe.invariant_factors == (2,)
     ok = ok and s.regular and not s.empty
     _verdict(3, "index-two gerbe over a point (dim 0, Z/2 generic inertia)",
@@ -90,10 +84,10 @@ def test_criterion_04_regularity_matches_local_freeness():
     checked = 0
     for name, build in corpus.ALL.items():
         data = build()
-        verdict = is_regular_value(data)
-        faces = meeting_faces(data)
-        if verdict.regular and any(len(f.zeros) == 0 for f in faces):
-            pts = sample_level_points(data, 100, seed=42)
+        a = analyze(data)
+        verdict = a.verdict
+        if verdict.regular and any(len(f.zeros) == 0 for f in a.faces):
+            pts = sample_level_points(a, 100, seed=42)
             agree = all(check_local_freeness(data, p.z, tol=1e-8) for p in pts)
             ok = ok and agree
             checked += len(pts)
@@ -104,7 +98,7 @@ def test_criterion_04_regularity_matches_local_freeness():
             agree = all(not check_local_freeness(data, z, tol=1e-8) for z in pts)
             ok = ok and agree
             checked += len(pts)
-    singular = is_regular_value(corpus.irregular_origin())
+    singular = analyze(corpus.irregular_origin()).verdict
     ok = ok and not singular.regular and singular.witness.zeros == (0, 1)
     ok = ok and checked >= 100 * 6
     _verdict(4, "exact regularity == numeric local freeness on sampled levels",
@@ -140,7 +134,7 @@ def test_criterion_06_reduced_kernel_rank():
     ok = True
     for name in ("projective_line", "projective_plane", "teardrop",
                  "gerbe_over_point", "full_rank_square"):
-        rep = run_numeric_report(corpus.ALL[name](), samples=40, seed=6)
+        rep = run_numeric_report(analyze(corpus.ALL[name]()), samples=40, seed=6)
         ok = ok and rep.kernel_rank_rate >= 0.99
     _verdict(6, "kernel of restricted form has dim A on >= 99% of samples",
              ok, time.perf_counter() - t0, 30.0)
@@ -172,7 +166,7 @@ def test_criterion_07_conformance_sweep():
     violations = 0
     regular_nonempty = 0
     for data in family:
-        s = stack_summary(data)
+        s = analyze(data).summary
         if not (s.regular and not s.empty):
             continue
         regular_nonempty += 1
@@ -243,14 +237,13 @@ def _random_unimodular(n, rng):
 
 
 def _comparable_signature(data):
-    verdict = is_regular_value(data)
-    poly = moment_polytope(data)
-    sig = {"regular": verdict.regular, "f_vector": poly.f_vector}
-    s = stack_summary(data)
+    a = analyze(data)
+    sig = {"regular": a.verdict.regular, "f_vector": a.polytope.f_vector}
+    s = a.summary
     if s.regular and not s.empty:
         sig["gerbe"] = s.gerbe.invariant_factors
         sig["dimension"] = s.dimension
-        sig["labels"] = tuple(sorted(labeled_polytope(data).facet_labels))
+        sig["labels"] = tuple(sorted(labeled_polytope(a).facet_labels))
     return sig
 
 

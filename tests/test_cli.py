@@ -8,6 +8,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import toricstacks
+from toricstacks import cli, geometry, invariants, numeric
 from toricstacks.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -164,6 +166,38 @@ def test_golden_reports_cover_every_fixture():
         {f"analyze {p.name}" for p in FIXTURES.glob("*.json")}
         | {f"stages {p.name}" for p in FIXTURES.glob("stages_*.json")}
     )
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call of toricstacks.<name>, wherever
+    a module of the package has it bound."""
+    original, calls = getattr(toricstacks, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (cli, geometry, invariants, numeric):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("command,name,inputs", [
+    ("verify", "teardrop.json", 1),
+    ("analyze", "projective_plane.json", 1),
+    ("stages", "stages_circle_in_2torus.json", 3),  # inner, outer, staged
+])
+def test_faces_and_stabilizers_are_computed_once_per_input(command, name, inputs,
+                                                           monkeypatch, capsys):
+    face_calls = _count_calls(monkeypatch, "meeting_faces")
+    stabilizer_calls = _count_calls(monkeypatch, "stabilizer_on_face")
+    code, _, _ = run_cli([command, FIXTURES / name], capsys)
+    assert code == 0
+    # the call lists keep every data object alive, so ids are not reused
+    assert len(face_calls) == len({id(data) for data, in face_calls}) == inputs
+    pairs = [(id(data), face.zeros) for data, face in stabilizer_calls]
+    assert pairs and len(pairs) == len(set(pairs))
 
 
 def test_report_round_trips_rationals(capsys):

@@ -11,13 +11,11 @@ from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from toricstacks import corpus
 from toricstacks.errors import InfiniteStabilizer, IrregularLevel, NestingViolated
-from toricstacks.geometry import OrthantFace, meeting_faces, toric_stack_data
+from toricstacks.geometry import OrthantFace, analyze, meeting_faces, toric_stack_data
 from toricstacks.invariants import (
-    effectiveness_check,
     inertia_table,
     labeled_polytope,
     stabilizer_on_face,
-    stack_summary,
     stages_verify,
 )
 from toricstacks.lattice import identity
@@ -31,20 +29,20 @@ def test_teardrop_stabilizers_frozen():
 
 
 def test_teardrop_inertia_table_and_labels():
-    data = corpus.teardrop()
-    table = inertia_table(data)
+    a = analyze(corpus.teardrop())
+    table = inertia_table(a)
     assert [(r.face.zeros, r.group.invariant_factors) for r in table] == [
         ((), ()), ((0,), (2,)), ((1,), ()),
     ]
     assert [r.is_generic for r in table] == [True, False, False]
-    assert labeled_polytope(data).facet_labels == (2, 1)
+    assert labeled_polytope(a).facet_labels == (2, 1)
 
 
 def test_projective_corpus_all_trivial_inertia():
     for build in (corpus.projective_line, corpus.projective_plane):
-        data = build()
-        assert all(r.group.is_trivial for r in inertia_table(data))
-        poly = labeled_polytope(data)
+        a = analyze(build())
+        assert all(r.group.is_trivial for r in inertia_table(a))
+        poly = labeled_polytope(a)
         assert all(l == 1 for l in poly.facet_labels)
 
 
@@ -162,14 +160,14 @@ def test_stabilizer_monotone_along_faces():
 def test_gerbe_identity_generic_stabilizer_is_gamma():
     for name, build in corpus.ALL.items():
         data = build()
-        summary = stack_summary(data)
+        summary = analyze(data).summary
         if summary.regular and not summary.empty:
             assert summary.gerbe.invariant_factors == \
                 data.gamma.invariant_factors, name
 
 
 def test_gerbe_fixture_summary():
-    summary = stack_summary(corpus.gerbe_over_point())
+    summary = analyze(corpus.gerbe_over_point()).summary
     assert summary.dimension == 0
     assert summary.residual_torus_dim == 0
     assert summary.gerbe.invariant_factors == (2,)
@@ -177,30 +175,30 @@ def test_gerbe_fixture_summary():
 
 
 def test_projective_line_summary():
-    s = stack_summary(corpus.projective_line())
+    s = analyze(corpus.projective_line()).summary
     assert (s.dimension, s.residual_torus_dim) == (2, 1)
     assert s.gerbe.is_trivial and s.effective and s.regular and not s.empty
 
 
 def test_empty_summary():
-    s = stack_summary(corpus.empty_level())
+    s = analyze(corpus.empty_level()).summary
     assert s.empty and s.regular
     assert s.dimension is None and s.gerbe is None and s.effective is None
 
 
 def test_irregular_summary_and_errors():
-    data = corpus.irregular_origin()
-    s = stack_summary(data)
+    a = analyze(corpus.irregular_origin())
+    s = a.summary
     assert not s.regular and s.dimension is None
+    # effectiveness is only defined on regular levels
+    assert s.effective is None
     with pytest.raises(IrregularLevel):
-        inertia_table(data)
-    with pytest.raises(IrregularLevel):
-        effectiveness_check(data)
+        inertia_table(a)
 
 
 def test_effectiveness_on_corpus():
-    assert effectiveness_check(corpus.teardrop())
-    assert effectiveness_check(corpus.gerbe_over_point())
+    assert analyze(corpus.teardrop()).summary.effective is True
+    assert analyze(corpus.gerbe_over_point()).summary.effective is True
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from toricstacks.lattice import (
     identity,
     imat,
     integer_kernel_basis,
-    lattice_quotient,
     smith_normal_form,
 )
 
@@ -146,11 +145,3 @@ def test_finite_abelian_group_validation():
         FiniteAbelianGroup((4, 2))
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))
-
-
-def test_lattice_quotient():
-    assert lattice_quotient(identity(2), imat([[2, 0], [0, 2]])) == \
-        FiniteAbelianGroup((2, 2))
-    assert lattice_quotient(identity(2), imat([[1, 1], [0, 2]])) == \
-        FiniteAbelianGroup((2,))
-    assert lattice_quotient(identity(1), identity(1)).is_trivial

@@ -8,7 +8,7 @@ import pytest
 
 from toricstacks import corpus
 from toricstacks.errors import EmptyInterior
-from toricstacks.geometry import toric_stack_data
+from toricstacks.geometry import analyze, toric_stack_data
 from toricstacks.lattice import identity
 from toricstacks.numeric import (
     GENERATOR_SPEED,
@@ -72,7 +72,7 @@ def test_moment_equation_additive_for_disjoint_supports():
 
 def test_local_freeness_matches_regularity_on_level():
     data = corpus.projective_line()
-    for pt in sample_level_points(data, 25, seed=7):
+    for pt in sample_level_points(analyze(data), 25, seed=7):
         assert check_local_freeness(data, pt.z)
         assert check_groupoid_transversality(data, pt.z)
 
@@ -86,7 +86,7 @@ def test_local_freeness_fails_at_fixed_point():
 
 def test_reduced_kernel_rank_on_sphere():
     data = corpus.projective_line()
-    for pt in sample_level_points(data, 10, seed=11):
+    for pt in sample_level_points(analyze(data), 10, seed=11):
         got, expected = check_reduced_kernel_rank(data, pt.z)
         assert expected == 1
         assert got == expected
@@ -96,7 +96,7 @@ def test_reduced_kernel_rank_trivial_subgroup():
     data = corpus.full_rank_square()
     # the level set misses no directions: omega restricted to ker(dmu) of a
     # 2-dimensional level in C^2 has kernel dim = dim A = 0
-    for pt in sample_level_points(data, 5, seed=2):
+    for pt in sample_level_points(analyze(data), 5, seed=2):
         got, expected = check_reduced_kernel_rank(data, pt.z)
         assert expected == 0
         assert got == expected
@@ -107,14 +107,14 @@ def test_reduced_kernel_rank_whole_torus(N):
     # B is empty, so A is the whole torus and the level set is a Lagrangian
     # torus orbit: omega restricted to it vanishes, every direction is kernel
     data = toric_stack_data(identity(N), [], list(range(1, N + 1)))
-    for pt in sample_level_points(data, 10, seed=5):
+    for pt in sample_level_points(analyze(data), 10, seed=5):
         assert check_reduced_kernel_rank(data, pt.z) == (N, N)
 
 
 def test_sample_level_points_deterministic_and_on_level():
     data = corpus.teardrop()
-    a = sample_level_points(data, 8, seed=5)
-    b = sample_level_points(data, 8, seed=5)
+    a = sample_level_points(analyze(data), 8, seed=5)
+    b = sample_level_points(analyze(data), 8, seed=5)
     for p, q in zip(a, b):
         assert np.array_equal(p.z, q.z)
         assert p.moduli == q.moduli
@@ -129,13 +129,13 @@ def test_sample_level_points_deterministic_and_on_level():
 
 def test_sample_level_points_empty_interior():
     with pytest.raises(EmptyInterior):
-        sample_level_points(corpus.empty_level(), 3, seed=0)
+        sample_level_points(analyze(corpus.empty_level()), 3, seed=0)
     with pytest.raises(EmptyInterior):
-        sample_level_points(corpus.irregular_origin(), 3, seed=0)
+        sample_level_points(analyze(corpus.irregular_origin()), 3, seed=0)
 
 
 def test_run_numeric_report_aggregates():
-    rep = run_numeric_report(corpus.teardrop(), samples=30, seed=1)
+    rep = run_numeric_report(analyze(corpus.teardrop()), samples=30, seed=1)
     assert rep.samples == 30
     assert rep.max_moment_residual < 1e-6
     assert rep.max_level_residual < 1e-12
@@ -146,5 +146,5 @@ def test_run_numeric_report_aggregates():
 
 
 def test_run_numeric_report_gerbe_fixture():
-    rep = run_numeric_report(corpus.gerbe_over_point(), samples=10, seed=4)
+    rep = run_numeric_report(analyze(corpus.gerbe_over_point()), samples=10, seed=4)
     assert rep.local_freeness_agrees and rep.kernel_rank_agrees

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from toricstacks.errors import DimensionMismatch, NotFiniteIndex, RankDeficient
-from toricstacks.lattice import FiniteAbelianGroup, identity, imat
-from toricstacks.torus import (
-    make_extension,
-    preimage_in_extension,
-    residual_torus,
-    subgroup_from_kernel,
-)
+from toricstacks.lattice import FiniteAbelianGroup, identity
+from toricstacks.torus import make_extension, subgroup_from_kernel
 
 
 def test_make_extension_trivial_gamma():
@@ -62,27 +57,3 @@ def test_subgroup_from_kernel_trivial_map():
 def test_subgroup_rejects_rank_deficient():
     with pytest.raises(RankDeficient):
         subgroup_from_kernel([[1, -1], [2, -2]])
-
-
-def test_preimage_component_group():
-    # standard lattice: pi_0(A_hat) = Z^n / B Z^N, trivial for primitive rows
-    ext = make_extension(2, identity(2))
-    A = subgroup_from_kernel([[2, -1]])
-    hat = preimage_in_extension(ext, A)
-    assert hat.component_group().is_trivial
-    # index-2 lattice under B = [1 -1] maps onto 2Z: two components
-    ext2 = make_extension(2, imat([[2, 0], [0, 2]]))
-    A2 = subgroup_from_kernel([[1, -1]])
-    hat2 = preimage_in_extension(ext2, A2)
-    assert hat2.component_group() == FiniteAbelianGroup((2,))
-
-
-def test_preimage_rejects_mismatched_ambient():
-    ext = make_extension(2, identity(2))
-    with pytest.raises(DimensionMismatch):
-        preimage_in_extension(ext, subgroup_from_kernel([[1, 1, 1]]))
-
-
-def test_residual_torus():
-    G = residual_torus(subgroup_from_kernel([[1, -1, 0], [0, 1, -1]]))
-    assert G.n == 2
