@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .lattice import FiniteAbelianGroup
-from .rational import feasible, frac, qmat, qvec, rank, solve
+from .rational import abs_det, feasible, frac, qmat, qvec, rank, solve
 from .torus import ClosedSubgroup, TorusExtension, make_extension, subgroup_from_kernel
 
 __all__ = [
@@ -97,15 +97,14 @@ class OrthantFace:
 
 def _face_system(data: ToricStackData, zeros):
     """Equalities on `zeros` plus strict inequalities elsewhere."""
-    B, a = data.B, data.a_lift
     zset = set(zeros)
     eqs, ineqs = [], []
-    for j in range(data.N):
-        coeffs = [frac(B[i, j]) for i in range(data.n)]
+    # B is an integer matrix of Python ints (see lattice.imat)
+    for j, (coeffs, a_j) in enumerate(zip(data.B.T.tolist(), data.a_lift)):
         if j in zset:
-            eqs.append((coeffs, a[j]))
+            eqs.append((coeffs, a_j))
         else:
-            ineqs.append((coeffs, a[j], True))
+            ineqs.append((coeffs, a_j, True))
     return eqs, ineqs
 
 
@@ -138,14 +137,9 @@ def meeting_faces(data: ToricStackData) -> list[OrthantFace]:
     return out
 
 
-def _columns(data: ToricStackData, zeros) -> np.ndarray:
-    cols = qmat(data.B)
-    if not zeros or data.n == 0:
-        return np.empty((data.n, len(zeros)), dtype=object)
-    picked = np.empty((data.n, len(zeros)), dtype=object)
-    for k, j in enumerate(zeros):
-        picked[:, k] = cols[:, j]
-    return picked
+def _columns(data: ToricStackData, zeros) -> list[list[int]]:
+    """The columns of B on `zeros`, as the rows of an n x |zeros| matrix."""
+    return [[int(data.B[i, j]) for j in zeros] for i in range(data.n)]
 
 
 @dataclass(frozen=True)
@@ -230,27 +224,19 @@ def analyze(data: ToricStackData) -> Analysis:
     return Analysis(data)
 
 
-def _vertices(data: ToricStackData) -> list[tuple]:
-    """All lambda where n independent inequalities are tight and the rest hold."""
-    n, N = data.n, data.N
-    B, a = qmat(data.B), data.a_lift
-    if n == 0:
-        ok = all(a[j] >= 0 for j in range(N))
-        return [()] if ok else []
-    found = set()
-    for J in itertools.combinations(range(N), n):
-        A = np.empty((n, n), dtype=object)
-        for k, j in enumerate(J):
-            A[k, :] = B[:, j]
-        rhs = qvec([-a[j] for j in J])
-        if rank(A) < n:
-            continue
-        lam = solve(A, rhs)
-        if lam is None:
-            continue
-        x = a + B.T @ lam
-        if all(x[j] >= 0 for j in range(N)):
-            found.add(tuple(lam))
+def _vertices(analysis: Analysis) -> list[tuple]:
+    """The one point of each meeting face whose normal columns have rank n.
+
+    A vertex of Delta lies in the open stratum of its own tight set, which
+    therefore meets the slice with rank n; such a face holds no other point.
+    """
+    data = analysis.data
+    B, a = data.B, data.a_lift
+    found = []
+    for f in analysis.faces:
+        if analysis.ranks[f.zeros] == data.n:
+            rows = [[B[i, j] for i in range(data.n)] for j in f.zeros]
+            found.append(tuple(solve(rows, [-a[j] for j in f.zeros])))
     return sorted(found)
 
 
@@ -289,7 +275,7 @@ def moment_polytope(analysis: Analysis) -> MomentPolytope:
     return MomentPolytope(
         n=data.n,
         h_rep=h_rep,
-        v_rep=tuple(_vertices(data)),
+        v_rep=tuple(_vertices(analysis)),
         redundant=redundant,
         facet_labels=None,
         f_vector=tuple(counts),
@@ -297,24 +283,6 @@ def moment_polytope(analysis: Analysis) -> MomentPolytope:
         empty=not analysis.faces,  # as in stack_summary
         regular=analysis.verdict.regular,
     )
-
-
-def _qdet(A: np.ndarray) -> Fraction:
-    n = A.shape[0]
-    M = np.array(A, dtype=object)
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if M[i, k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            M[[k, piv]] = M[[piv, k]]
-            det = -det
-        det *= M[k, k]
-        for i in range(k + 1, n):
-            if M[i, k] != 0:
-                M[i] = M[i] - (M[i, k] / M[k, k]) * M[k]
-    return det
 
 
 def normalized_volume(analysis: Analysis):
@@ -374,8 +342,5 @@ def normalized_volume(analysis: Analysis):
     for s in triangulate(()):
         if len(s) != n + 1:
             continue
-        M = np.empty((n, n), dtype=object)
-        for i in range(n):
-            M[i, :] = [s[i + 1][k] - s[0][k] for k in range(n)]
-        total += abs(_qdet(M))
+        total += abs_det([[s[i + 1][k] - s[0][k] for k in range(n)] for i in range(n)])
     return total

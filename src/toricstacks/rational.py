@@ -1,16 +1,21 @@
 """Exact linear algebra and feasibility over the rationals.
 
-Matrices are numpy arrays with ``dtype=object`` whose entries are
-:class:`fractions.Fraction` (plain ints are accepted and coerced).
-Feasibility of systems of equalities and (possibly strict) inequalities
-is decided by Fourier-Motzkin elimination, which is exact and, at the
-desk scale this package targets, fast enough.
+Every elimination runs fraction-free on plain Python ints (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968): each row is scaled to integers by the lcm
+of its denominators and then reduced by exact integer divisions, so no
+Fraction is built until an answer is read off. Inputs are 2-d object arrays
+or lists of rows whose entries are ints or :class:`fractions.Fraction`;
+`rref`, `solve`, `nullspace` and `inv` answer in object arrays of
+Fractions. Feasibility of systems of equalities and (possibly strict)
+inequalities is decided by Fourier-Motzkin elimination on integer rows,
+after the equalities have been eliminated once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -24,6 +29,7 @@ __all__ = [
     "solve_matrix",
     "nullspace",
     "inv",
+    "abs_det",
     "feasible",
 ]
 
@@ -60,88 +66,136 @@ def qvec(entries) -> np.ndarray:
     return out
 
 
-def rref(A: np.ndarray):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = np.array(A, dtype=object)
-    m, n = R.shape
+def _rows(A) -> tuple[list, int]:
+    """The rows of a 2-d object array or of a list of rows, and the width."""
+    if isinstance(A, np.ndarray):
+        return A.tolist(), A.shape[1]
+    rows = [list(r) for r in A]
+    return rows, len(rows[0]) if rows else 0
+
+
+def _int_row(row) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    if all(type(x) is int for x in row):
+        return row, 1
+    row = [x if type(x) in (int, Fraction) else frac(x) for x in row]
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def _eliminate(rows, ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+
+    Returns (R, pivots, d): R holds one integer row per pivot, with
+    R[i][pivots[i]] == d, and R / d is the reduced row echelon form without
+    its zero rows. Every entry of R is a minor of the row-scaled input, so
+    each division below is exact.
+    """
+    M = [_int_row(r)[0] for r in rows]
+    m = len(M)
     pivots = []
+    prev = 1
     r = 0
-    for c in range(n):
+    for c in range(ncols):
         if r == m:
             break
-        piv = next((i for i in range(r, m) if R[i, c] != 0), None)
-        if piv is None:
+        p = next((i for i in range(r, m) if M[i][c]), None)
+        if p is None:
             continue
-        if piv != r:
-            R[[r, piv]] = R[[piv, r]]
-        R[r] = R[r] / R[r, c]
+        M[r], M[p] = M[p], M[r]
+        top = M[r]
+        piv = top[c]
         for i in range(m):
-            if i != r and R[i, c] != 0:
-                R[i] = R[i] - R[i, c] * R[r]
+            f = M[i][c]
+            if i == r:
+                continue
+            if f:
+                M[i] = [(piv * x - f * y) // prev for x, y in zip(M[i], top)]
+            elif piv != prev:
+                M[i] = [piv * x // prev for x in M[i]]
         pivots.append(c)
+        prev = piv
         r += 1
-    return R, pivots
+    return M[:r], pivots, prev
 
 
-def rank(A: np.ndarray) -> int:
-    if A.size == 0:
-        return 0
-    return len(rref(A)[1])
+def rref(A):
+    """Reduced row echelon form; returns (R, pivot_columns)."""
+    rows, ncols = _rows(A)
+    R, pivots, d = _eliminate(rows, ncols)
+    out = np.empty((len(rows), ncols), dtype=object)
+    out[:] = Fraction(0)
+    for i, row in enumerate(R):
+        out[i, :] = [Fraction(x, d) for x in row]
+    return out, pivots
 
 
-def solve(A: np.ndarray, b: np.ndarray):
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    m, n = A.shape
-    aug = np.empty((m, n + 1), dtype=object)
-    aug[:, :n] = A
-    aug[:, n] = b
-    R, pivots = rref(aug)
-    if n in pivots:
+def rank(A) -> int:
+    rows, ncols = _rows(A)
+    return len(_eliminate(rows, ncols)[1])
+
+
+def _read_off(R, pivots, d, n: int, k: int):
+    """X with A X = B from the elimination of [A | B] (A has n columns,
+    B has k), free variables set to 0; None when a column is inconsistent."""
+    if pivots and pivots[-1] >= n:
         return None
-    x = np.array([Fraction(0)] * n, dtype=object)
+    X = np.empty((n, k), dtype=object)
+    X[:] = Fraction(0)
     for i, c in enumerate(pivots):
-        x[c] = R[i, n]
-    return x
-
-
-def solve_matrix(A: np.ndarray, B: np.ndarray):
-    """Exact solution X of A X = B, or None if any column is inconsistent."""
-    cols = []
-    for j in range(B.shape[1]):
-        x = solve(A, B[:, j])
-        if x is None:
-            return None
-        cols.append(x)
-    X = np.empty((A.shape[1], B.shape[1]), dtype=object)
-    for j, x in enumerate(cols):
-        X[:, j] = x
+        X[c, :] = [Fraction(x, d) for x in R[i][n:]]
     return X
 
 
-def nullspace(A: np.ndarray):
+def solve(A, b):
+    """One exact solution of A x = b (free variables set to 0), or None."""
+    rows, n = _rows(A)
+    aug = [row + [rhs] for row, rhs in zip(rows, b)]
+    X = _read_off(*_eliminate(aug, n + 1), n, 1)
+    return None if X is None else X[:, 0]
+
+
+def solve_matrix(A, B):
+    """Exact solution X of A X = B, or None if any column is inconsistent."""
+    rows, n = _rows(A)
+    rhs, k = _rows(B)
+    return _read_off(*_eliminate([a + b for a, b in zip(rows, rhs)], n + k), n, k)
+
+
+def nullspace(A):
     """Basis (list of object vectors) of the rational kernel of A."""
-    m, n = A.shape
-    R, pivots = rref(A)
-    free = [c for c in range(n) if c not in pivots]
+    rows, n = _rows(A)
+    R, pivots, d = _eliminate(rows, n)
     basis = []
-    for f in free:
+    for f in (c for c in range(n) if c not in pivots):
         v = np.array([Fraction(0)] * n, dtype=object)
         v[f] = Fraction(1)
         for i, c in enumerate(pivots):
-            v[c] = -R[i, f]
+            v[c] = Fraction(-R[i][f], d)
         basis.append(v)
     return basis
 
 
-def inv(A: np.ndarray) -> np.ndarray:
-    m, n = A.shape
-    if m != n:
+def inv(A) -> np.ndarray:
+    rows, n = _rows(A)
+    if len(rows) != n:
         raise ValueError("inverse of a non-square matrix")
-    ident = qmat([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-    X = solve_matrix(A, ident)
-    if X is None or rank(A) < n:
+    # [A | I] has rank n, so A is singular iff a pivot falls in the I block
+    X = solve_matrix(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+    if X is None:
         raise ValueError("matrix is singular")
     return X
+
+
+def abs_det(A) -> Fraction:
+    """|det A| of a square rational matrix: the last pivot of the integer
+    elimination over the product of the row scales."""
+    rows, n = _rows(A)
+    scaled = [_int_row(r) for r in rows]
+    _, pivots, d = _eliminate([r for r, _ in scaled], n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(abs(d), prod(s for _, s in scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -149,32 +203,23 @@ def inv(A: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _normalize(coeffs, const, strict):
-    """Scale a row to a primitive integer vector for dedup and early exit."""
-    dens = [c.denominator for c in coeffs] + [const.denominator]
-    scale = 1
-    for d in dens:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(c * scale) for c in coeffs] + [int(const * scale)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    """Divide an integer row by its content, for dedup and early exit."""
+    g = gcd(const, *coeffs)
     if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints[:-1]), ints[-1], strict
+        return tuple(c // g for c in coeffs), const // g, strict
+    return tuple(coeffs), const, strict
 
 
 def _fm_feasible(rows, nvars) -> bool:
     """Decide whether {c·x + d >= 0 (or > 0)} has a rational solution.
 
-    rows: iterable of (coeff_tuple, const, strict). Strict sets are open,
+    rows: iterable of (int coeffs, int const, strict). Strict sets are open,
     so real feasibility and rational feasibility coincide.
     """
     work = set()
     for coeffs, const, strict in rows:
-        coeffs, const, strict = _normalize(
-            [frac(c) for c in coeffs], frac(const), strict
-        )
-        if all(c == 0 for c in coeffs):
+        coeffs, const, strict = _normalize(coeffs, const, strict)
+        if not any(coeffs):
             if const < 0 or (const == 0 and strict):
                 return False
             continue
@@ -194,12 +239,10 @@ def _fm_feasible(rows, nvars) -> bool:
         for lc, ld, ls in lowers:
             for uc, ud, us in uppers:
                 a, b = lc[v], -uc[v]  # both positive
-                coeffs = tuple(b * lc[j] + a * uc[j] for j in range(v))
-                const = b * ld + a * ud
                 coeffs, const, strict = _normalize(
-                    [Fraction(c) for c in coeffs], Fraction(const), ls or us
+                    [b * lc[j] + a * uc[j] for j in range(v)], b * ld + a * ud, ls or us
                 )
-                if all(c == 0 for c in coeffs):
+                if not any(coeffs):
                     if const < 0 or (const == 0 and strict):
                         return False
                     continue
@@ -215,22 +258,23 @@ def feasible(equalities, inequalities, nvars) -> bool:
     inequalities: list of (coeffs, const, strict) meaning coeffs·x + const >= 0,
                   or > 0 when strict is True
     """
-    ineqs = [
-        ([frac(c) for c in coeffs], frac(const), strict)
-        for coeffs, const, strict in inequalities
-    ]
-    if equalities:
-        A = qmat([[frac(c) for c in coeffs] for coeffs, _ in equalities])
-        b = qvec([-frac(const) for _, const in equalities])
-        part = solve(A, b)
-        if part is None:
-            return False
-        basis = nullspace(A)
-        reduced = []
-        for coeffs, const, strict in ineqs:
-            cvec = qvec(coeffs)
-            newc = [sum(cvec[i] * n[i] for i in range(nvars)) for n in basis]
-            newd = sum(cvec[i] * part[i] for i in range(nvars)) + const
-            reduced.append((newc, newd, strict))
-        return _fm_feasible(reduced, len(basis))
-    return _fm_feasible(ineqs, nvars)
+    ineqs = []
+    for coeffs, const, strict in inequalities:
+        row, _ = _int_row([*coeffs, const])  # a positive scale keeps the sense
+        ineqs.append((row[:-1], row[-1], strict))
+    if not equalities:
+        return _fm_feasible(ineqs, nvars)
+    # one elimination of [A | -b]: x_p = -(R[i][free]·x_free + R[i][nvars]) / d
+    R, pivots, d = _eliminate([[*coeffs, const] for coeffs, const in equalities], nvars + 1)
+    if pivots and pivots[-1] == nvars:
+        return False
+    free = [c for c in range(nvars) if c not in pivots]
+    sign = 1 if d > 0 else -1
+    reduced = []
+    for g, h, strict in ineqs:
+        # d·(g·x + h) with the pivot variables substituted, times sign(d)
+        gp = [(g[c], R[i]) for i, c in enumerate(pivots) if g[c]]
+        newc = [sign * (d * g[f] - sum(gc * row[f] for gc, row in gp)) for f in free]
+        newd = sign * (d * h - sum(gc * row[nvars] for gc, row in gp))
+        reduced.append((newc, newd, strict))
+    return _fm_feasible(reduced, len(free))

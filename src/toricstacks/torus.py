@@ -20,7 +20,7 @@ from .lattice import (
     imat,
     integer_kernel_basis,
 )
-from .rational import qmat, rank
+from .rational import rank
 
 __all__ = [
     "TorusExtension",
@@ -75,7 +75,7 @@ def subgroup_from_kernel(B, N: int | None = None) -> ClosedSubgroup:
     """Closed subgroup A = ker(B) from an integer matrix of full row rank."""
     M = imat(B, cols=N)
     n, width = M.shape
-    if n and rank(qmat(M)) < n:
+    if n and rank(M) < n:
         raise RankDeficient(f"B has rank < {n}; G would not be a torus T^{n}")
     kernel = integer_kernel_basis(M)
     annihilator = hermite_normal_form(M) if n else np.empty((0, width), dtype=object)

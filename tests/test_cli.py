@@ -186,7 +186,7 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("command,name,inputs", [
     ("verify", "teardrop.json", 1),
     ("analyze", "projective_plane.json", 1),
-    ("stages", "stages_circle_in_2torus.json", 3),  # inner, outer, staged
+    ("stages", "stages_circle_in_2torus.json", 2),  # inner, outer
 ])
 def test_faces_and_stabilizers_are_computed_once_per_input(command, name, inputs,
                                                            monkeypatch, capsys):

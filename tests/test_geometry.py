@@ -1,9 +1,11 @@
 """Exact polyhedral geometry of the level slice."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricstacks import corpus
@@ -155,3 +157,34 @@ def test_polytope_empty_iff_closed_system_infeasible(inp):
     closed = [([Fraction(B[i][j]) for i in range(len(B))], Fraction(a_lift[j]), False)
               for j in range(N)]
     assert analyze(data).polytope.empty == (not feasible([], closed, len(B)))
+
+
+def _subset_vertices(B, a_lift):
+    """Every lambda where n independent rows of a + B^T lambda >= 0 are tight
+    and the rest hold, found by trying each n-subset of the N rows."""
+    n, N = len(B), len(a_lift)
+    found = set()
+    for J in itertools.combinations(range(N), n):
+        M = sympy.Matrix([[B[i][j] for i in range(n)] for j in J])
+        if M.rank() < n:
+            continue
+        rhs = sympy.Matrix([-sympy.Rational(a_lift[j].numerator, a_lift[j].denominator)
+                            for j in J])
+        lam = [Fraction(int(x.p), int(x.q)) for x in M.LUsolve(rhs)] if n else []
+        if all(a_lift[j] + sum(B[i][j] * lam[i] for i in range(n)) >= 0
+               for j in range(N)):
+            found.add(tuple(lam))
+    return tuple(sorted(found))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_full_row_rank_input())
+@example((3, [[1, 0, -1], [0, 1, -1]], [Fraction(0), Fraction(0), Fraction(1)]))  # bounded
+@example((3, [[0, 0, 1]], [Fraction(1), Fraction(1), Fraction(1)]))  # unbounded
+@example((2, [[1, 1]], [Fraction(-1), Fraction(-1)]))  # empty
+def test_vertices_match_subset_enumeration(inp):
+    # vertices are read off the meeting faces of rank n; the reference tries
+    # every n-subset of the inequalities
+    N, B, a_lift = inp
+    data = toric_stack_data(identity(N), B, a_lift, N=N)
+    assert analyze(data).polytope.v_rep == _subset_vertices(B, a_lift)

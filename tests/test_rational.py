@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from toricstacks.rational import (
+    abs_det,
     feasible,
     frac,
     inv,
@@ -120,3 +123,97 @@ def _point_and_ineqs(draw):
 def test_feasible_never_rejects_a_witnessed_system(case):
     n, rows = case
     assert feasible([], rows, n)
+
+
+def _fraction(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+@st.composite
+def _rational_matrix(draw):
+    """An m x n rational matrix with some zero and some dependent rows."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-4, 4, max_denominator=4))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    for i in range(1, m):
+        kind = draw(st.sampled_from(["free", "zero", "multiple"]))
+        if kind == "zero":
+            rows[i] = [0] * n
+        elif kind == "multiple":
+            k = draw(st.fractions(-3, 3, max_denominator=2))
+            rows[i] = [k * x for x in rows[draw(st.integers(0, i - 1))]]
+    A = np.empty((m, n), dtype=object)
+    for i, row in enumerate(rows):
+        A[i, :] = row
+    b = draw(st.lists(entry, min_size=m, max_size=m))
+    return A, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_matrix())
+def test_elimination_matches_sympy(case):
+    A, b = case
+    m, n = A.shape
+    S = sympy.Matrix(m, n, [sympy.Rational(x.numerator, x.denominator) for x in A.flat])
+    S_R, S_pivots = S.rref()
+    R, pivots = rref(A)
+    assert pivots == list(S_pivots)
+    assert rank(A) == len(S_pivots)
+    assert [[_fraction(S_R[i, j]) for j in range(n)] for i in range(m)] == R.tolist()
+    assert [[_fraction(x) for x in v] for v in S.nullspace()] == [list(v) for v in nullspace(A)]
+    if m == n:
+        assert abs_det(A) == abs(_fraction(S.det()))
+        if S.det() == 0:
+            with pytest.raises(ValueError):
+                inv(A)
+        else:
+            S_inv = S.inv()
+            assert inv(A).tolist() == [[_fraction(S_inv[i, j]) for j in range(n)]
+                                       for i in range(n)]
+
+    rhs = sympy.Matrix(m, 1, [sympy.Rational(x.numerator, x.denominator) for x in b])
+    try:
+        sol, params = S.gauss_jordan_solve(rhs)
+    except ValueError:  # inconsistent
+        assert solve(A, b) is None
+    else:
+        sol = sol.subs({t: 0 for t in params})  # free variables set to 0
+        assert list(solve(A, b)) == [_fraction(x) for x in sol]
+
+
+@st.composite
+def _integer_system(draw):
+    """Equalities and (strict or weak) inequalities in up to 3 variables."""
+    n = draw(st.integers(1, 3))
+    coeffs = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    eqs = [(draw(coeffs), draw(st.integers(-3, 3))) for _ in range(draw(st.integers(0, 2)))]
+    ineqs = [(draw(coeffs), draw(st.integers(-3, 3)), draw(st.booleans()))
+             for _ in range(draw(st.integers(1, 5)))]
+    return n, eqs, ineqs
+
+
+def _linprog_slack(n, eqs, ineqs):
+    """max t subject to the equalities, c·x + d >= t on strict rows,
+    c·x + d >= 0 on weak rows and t <= 1; None when that LP is infeasible."""
+    A_ub = [[-c for c in coeffs] + [int(strict)] for coeffs, _, strict in ineqs]
+    b_ub = [const for _, const, _ in ineqs]
+    A_eq = [coeffs + [0] for coeffs, _ in eqs] or None
+    b_eq = [-const for _, const in eqs] or None
+    res = linprog([0] * n + [-1], A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(None, None)] * n + [(None, 1)], method="highs")
+    assert res.status in (0, 2), res.message
+    return -res.fun if res.status == 0 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_system())
+@example((1, [], [([1], 0, True), ([-1], -1, False)]))
+@example((2, [([1, 1], -1)], [([1, 0], 0, True), ([0, 1], -2, True)]))
+def test_feasible_never_accepts_an_infeasible_system(case):
+    # the system is feasible iff the shared slack of its strict rows can be
+    # made positive; a slack within 1e-9 of 0 is left to the exact cases above
+    n, eqs, ineqs = case
+    t = _linprog_slack(n, eqs, ineqs)
+    if t is not None and abs(t) < 1e-9:
+        return
+    assert feasible(eqs, ineqs, n) == (t is not None and t > 0)
