@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -278,6 +279,16 @@ def run_stages(doc: dict) -> tuple[dict, int]:
     return _stages_json(rep), EXIT_OK if rep.consistent else EXIT_INCONSISTENT
 
 
+def _numeric_flag_error(args) -> str | None:
+    """Why the numeric flags of `verify` cannot give a meaningful check, or None."""
+    if args.samples < 1:
+        return f"--samples must be at least 1, got {args.samples}"
+    for flag, value in (("--tol", args.tol), ("--fd-step", args.fd_step)):
+        if not (math.isfinite(value) and value > 0):
+            return f"{flag} must be finite and positive, got {value}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="toricstacks", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -304,6 +315,11 @@ def main(argv=None) -> int:
     p_vf.add_argument("--fd-step", type=float, default=1e-5)
 
     args = parser.parse_args(argv)
+    problem = _numeric_flag_error(args) if args.command == "verify" else None
+    if problem:
+        # not parser.error: its exit code 2 means an irregular level here
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_INVALID
 
     try:
         with open(args.file, encoding="utf-8") as fh:

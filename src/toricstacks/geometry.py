@@ -17,12 +17,13 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, IrregularLevel
 from .lattice import FiniteAbelianGroup
-from .rational import abs_det, feasible, frac, qmat, qvec, rank, solve
+from .rational import abs_det, feasible, frac, inv, qmat, qvec, rank, solve
 from .torus import ClosedSubgroup, TorusExtension, make_extension, subgroup_from_kernel
 
 __all__ = [
@@ -242,17 +243,9 @@ def _vertices(analysis: Analysis) -> list[tuple]:
 
 def _bounded(data: ToricStackData) -> bool:
     """Delta is bounded iff the recession cone {B^T lambda >= 0} is trivial."""
-    if data.n == 0:
-        return True
-    B = qmat(data.B)
-    ineqs = []
-    total = [Fraction(0)] * data.n
-    for j in range(data.N):
-        coeffs = [B[i, j] for i in range(data.n)]
-        ineqs.append((coeffs, Fraction(0), False))
-        total = [t + c for t, c in zip(total, coeffs)]
+    ineqs = [(col, 0, False) for col in data.B.T.tolist()]
     # columns of B span R^n, so a nonzero recession vector has positive total
-    ineqs.append((total, Fraction(-1), False))
+    ineqs.append(([sum(row) for row in data.B.tolist()], -1, False))
     return not feasible([], ineqs, data.n)
 
 
@@ -289,7 +282,15 @@ def normalized_volume(analysis: Analysis):
     """Lattice-normalized volume of Delta (n! times Euclidean volume).
 
     Returns a Fraction for bounded nonempty polytopes, None when unbounded,
-    and Fraction(0) when empty. A point (n = 0) has volume 1.
+    and Fraction(0) when empty. A point (n = 0) has volume 1. Otherwise the
+    volume is Lawrence's sum of one term per vertex ("Polytope volume
+    computation", Math. Comp. 1991), which needs a simple polytope: a
+    regular level gives one, and an irregular level raises IrregularLevel.
+
+    Delta is {lambda : -b_j . lambda <= a_j}, b_j the columns of B. At the
+    vertex v of a vertex face J (|J| = n on a regular level), gamma solves
+    sum_i gamma_i (-b_{j_i}) = c, and v adds
+    (c . v)^n / (|det(-b_J)| prod gamma_i), where c . v = gamma . a_J.
     """
     data, poly = analysis.data, analysis.polytope
     if poly.empty:
@@ -299,48 +300,27 @@ def normalized_volume(analysis: Analysis):
     n = data.n
     if n == 0:
         return Fraction(1)
+    verdict = analysis.verdict
+    if not verdict.regular:
+        raise IrregularLevel(
+            f"volume needs a regular level; witness face {verdict.witness.zeros}"
+        )
 
-    B, a = qmat(data.B), data.a_lift
-    verts = [qvec(v) for v in poly.v_rep]
-
-    def tight_set(v):
-        x = a + B.T @ v if n else a
-        return frozenset(j for j in range(data.N) if x[j] == 0)
-
-    vert_tight = [(tuple(v), tight_set(v)) for v in verts]
-
-    def face_vertices(zeros):
-        zset = set(zeros)
-        return sorted(t for t, tight in vert_tight if zset <= tight)
-
-    face_sets = [f.zeros for f in analysis.faces]
-
-    def children(zeros):
-        sups = [z for z in face_sets if set(zeros) < set(z)]
-        minimal = []
-        for z in sups:
-            if not any(set(w) < set(z) for w in sups if w != z):
-                minimal.append(z)
-        return minimal
-
-    def triangulate(zeros):
-        fverts = face_vertices(zeros)
-        # the empty J need not meet the slice; its columns have rank 0
-        dim = n - analysis.ranks[zeros] if zeros else n
-        if dim == 0:
-            return [list(fverts[:1])]
-        v0 = fverts[0]
-        simplices = []
-        for child in children(zeros):
-            if set(child) <= tight_set(qvec(v0)):
-                continue  # v0 lies on this facet of the face
-            for s in triangulate(child):
-                simplices.append([v0] + s)
-        return simplices
-
+    B, a = data.B, data.a_lift
+    corners = []  # (inverse of the normals -b_J, |det|, a_J) per vertex face
+    for J, r in analysis.ranks.items():
+        if r == n:
+            normals = [[-B[k, j] for j in J] for k in range(n)]
+            corners.append((inv(normals).tolist(), abs_det(normals), [a[j] for j in J]))
+    # gamma_i(t) for c = (1, t, ..., t^(n-1)) is row i of an inverse times c:
+    # a nonzero polynomial of degree below n in t, so only finitely many t
+    # make some gamma_i vanish
+    for t in itertools.count(1):
+        c = [t**k for k in range(n)]
+        gammas = [[sum(w * ck for w, ck in zip(row, c)) for row in W] for W, _, _ in corners]
+        if all(map(all, gammas)):
+            break
     total = Fraction(0)
-    for s in triangulate(()):
-        if len(s) != n + 1:
-            continue
-        total += abs_det([[s[i + 1][k] - s[0][k] for k in range(n)] for i in range(n)])
+    for gamma, (_, det, a_J) in zip(gammas, corners):
+        total += sum(g * x for g, x in zip(gamma, a_J)) ** n / (det * prod(gamma))
     return total

@@ -72,13 +72,13 @@ def stabilizer_on_face(data: ToricStackData, face: OrthantFace) -> FiniteAbelian
     normal columns (the irregular case).
     """
     N = data.N
-    C = [[int(x) for x in row] for row in data.B]
-    C += [[int(j == k) for k in range(N)] for j in range(N) if j not in face.zeros]
-    lam = [[int(x) for x in row] for row in data.lattice_hat]
-    snf = smith_normal_form(imat(
-        [[sum(c * l for c, l in zip(crow, lrow)) for lrow in lam] for crow in C],
-        cols=N,
-    ))
+    lam = data.lattice_hat.tolist()
+    # the rows of B . lattice_hat^T, then e_j . lattice_hat^T = column j of
+    # lattice_hat for every j off the face
+    rows = [[sum(b * l for b, l in zip(brow, lrow)) for lrow in lam]
+            for brow in data.B.tolist()]
+    rows += [[lrow[j] for lrow in lam] for j in range(N) if j not in face.zeros]
+    snf = smith_normal_form(imat(rows, cols=N))
     if snf.rank < N:
         raise InfiniteStabilizer(
             "congruence system has positive-dimensional solution set"

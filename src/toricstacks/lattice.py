@@ -42,13 +42,15 @@ def imat(rows, cols=None) -> np.ndarray:
         if len(row) != width:
             raise ValueError("ragged matrix")
         for j, x in enumerate(row):
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise NotSublattice(f"non-integer entry {x} at ({i},{j})")
-                x = x.numerator
-            if not isinstance(x, (int, np.integer)):
-                raise NotSublattice(f"non-integer entry {x!r} at ({i},{j})")
-            out[i, j] = int(x)
+            if type(x) is not int:  # the common case skips the slow ABC checks
+                if isinstance(x, Fraction):
+                    if x.denominator != 1:
+                        raise NotSublattice(f"non-integer entry {x} at ({i},{j})")
+                    x = x.numerator
+                if not isinstance(x, (int, np.integer)):
+                    raise NotSublattice(f"non-integer entry {x!r} at ({i},{j})")
+                x = int(x)
+            out[i, j] = x
     return out
 
 

@@ -164,9 +164,10 @@ def check_reduced_kernel_rank(data: ToricStackData, z,
 
 @dataclass(frozen=True)
 class SamplePoint:
+    """A point of the level set in the open orthant: every |z_j|^2 > 0."""
+
     z: np.ndarray
     moduli: tuple  # exact rational |z_j|^2 used in the construction
-    face: tuple
     residual_level_error: float
 
 
@@ -214,7 +215,6 @@ def sample_level_points(analysis: Analysis, count: int, seed: int) -> list[Sampl
         out.append(SamplePoint(
             z=z,
             moduli=tuple(x),
-            face=(),
             residual_level_error=_level_residual(data, z),
         ))
     return out

@@ -16,7 +16,6 @@ from .lattice import (
     FiniteAbelianGroup,
     cokernel_structure,
     det,
-    hermite_normal_form,
     imat,
     integer_kernel_basis,
 )
@@ -41,11 +40,10 @@ class TorusExtension:
 
 @dataclass(frozen=True)
 class ClosedSubgroup:
-    """A = ker(B : T^N -> T^n) together with its Lie algebra and annihilator."""
+    """A = ker(B : T^N -> T^n) together with its Lie algebra and component group."""
 
     B: np.ndarray
     lie_algebra_basis: np.ndarray  # rows span ker_R(B), saturated and in HNF
-    annihilator_basis: np.ndarray  # rows span rowspace(B)
     component_group: FiniteAbelianGroup
 
     @property
@@ -74,15 +72,8 @@ def make_extension(N: int, lattice_hat) -> TorusExtension:
 def subgroup_from_kernel(B, N: int | None = None) -> ClosedSubgroup:
     """Closed subgroup A = ker(B) from an integer matrix of full row rank."""
     M = imat(B, cols=N)
-    n, width = M.shape
+    n = M.shape[0]
     if n and rank(M) < n:
         raise RankDeficient(f"B has rank < {n}; G would not be a torus T^{n}")
-    kernel = integer_kernel_basis(M)
-    annihilator = hermite_normal_form(M) if n else np.empty((0, width), dtype=object)
     pi0 = cokernel_structure(imat(M.T, cols=n))
-    return ClosedSubgroup(
-        B=M,
-        lie_algebra_basis=kernel,
-        annihilator_basis=annihilator,
-        component_group=pi0,
-    )
+    return ClosedSubgroup(B=M, lie_algebra_basis=integer_kernel_basis(M), component_group=pi0)

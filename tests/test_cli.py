@@ -122,6 +122,22 @@ def test_verify_gerbe_kernel_rank(capsys):
     assert num["kernel_rank_rate"] == 1.0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--fd-step", "0"],
+    ["--fd-step", "nan"],
+    ["--samples", "0"],
+    ["--samples", "-3"],
+    ["--tol", "-1"],
+    ["--tol", "inf"],
+])
+def test_verify_rejects_degenerate_numeric_flags(flags, capsys):
+    # each would give NaN residuals, a non-JSON token or a pass on no samples
+    code, out, err = run_cli(["verify", FIXTURES / "teardrop.json", *flags], capsys)
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err.startswith(f"error: {flags[0]} ")
+
+
 def test_verify_irregular_skips_numeric(capsys):
     code, out, _ = run_cli(["verify", FIXTURES / "irregular_origin.json"], capsys)
     assert code == 2

@@ -2,14 +2,16 @@
 
 import itertools
 from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from toricstacks import corpus
-from toricstacks.errors import DimensionMismatch
+from toricstacks.errors import DimensionMismatch, IrregularLevel
 from toricstacks.geometry import (
     OrthantFace,
     analyze,
@@ -188,3 +190,89 @@ def test_vertices_match_subset_enumeration(inp):
     N, B, a_lift = inp
     data = toric_stack_data(identity(N), B, a_lift, N=N)
     assert analyze(data).polytope.v_rep == _subset_vertices(B, a_lift)
+
+
+# ---------------------------------------------------------------------------
+# Volume against closed forms and a floating-point convex hull
+# ---------------------------------------------------------------------------
+
+def _simplex_B(n):
+    """[I_n | -1]: the simplex of side sum(a_lift)."""
+    return [[int(i == j) for j in range(n)] + [-1] for i in range(n)]
+
+
+def _block_diag(B1, B2):
+    w1, w2 = len(B1[0]), len(B2[0])
+    return [row + [0] * w2 for row in B1] + [[0] * w1 + row for row in B2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_simplex_volume_closed_form(n):
+    a = [Fraction(k + 1, 3) for k in range(n + 1)]
+    data = toric_stack_data(identity(n + 1), _simplex_B(n), a)
+    assert analyze(data).volume == sum(a) ** n
+
+
+@pytest.mark.parametrize("lows, highs", [
+    ([Fraction(1, 2)], [Fraction(3, 4)]),
+    ([1, Fraction(1, 3)], [2, Fraction(1, 5)]),
+    ([1, 2, Fraction(1, 2)], [Fraction(1, 7), 1, 3]),
+    ([1] * 6, [1] * 6),  # N = 12
+    ([1] * 7, [1] * 7),  # N = 14: volume 7! * 2^7
+], ids=["segment", "rectangle", "box", "6-cube", "7-cube"])
+def test_box_volume_closed_form(lows, highs):
+    # [I_n | -I_n] at level (lows, highs): the box prod_i [-low_i, high_i]
+    n = len(lows)
+    B = [[int(i == j) for j in range(n)] + [-int(i == j) for j in range(n)]
+         for i in range(n)]
+    data = toric_stack_data(identity(2 * n), B, lows + highs)
+    sides = [Fraction(lo) + hi for lo, hi in zip(lows, highs)]
+    assert analyze(data).volume == factorial(n) * prod(sides)
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_product_of_simplices_volume_closed_form(p, q):
+    a1 = [Fraction(k + 1, 2) for k in range(p + 1)]
+    a2 = [Fraction(1, k + 2) for k in range(q + 1)]
+    data = toric_stack_data(identity(p + q + 2), _block_diag(_simplex_B(p), _simplex_B(q)),
+                            a1 + a2)
+    assert analyze(data).volume == comb(p + q, p) * sum(a1) ** p * sum(a2) ** q
+
+
+@st.composite
+def _bounded_input(draw):
+    """[M | -M.1] with M of rank n: the columns positively span R^n, so the
+    polytope is bounded for every level."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(n, n + 2))
+    M = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                      min_size=n, max_size=n)
+             .filter(lambda m: rank(qmat(m)) == n))
+    B = [row + [-sum(row)] for row in M]
+    a_lift = draw(st.lists(st.fractions(-1, 4, max_denominator=3),
+                           min_size=k + 1, max_size=k + 1))
+    return B, a_lift
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bounded_input())
+def test_volume_matches_convex_hull(inp):
+    B, a_lift = inp
+    n, N = len(B), len(a_lift)
+    a = analyze(toric_stack_data(identity(N), B, a_lift, N=N))
+    assume(a.verdict.regular and not a.polytope.empty)
+    assert a.polytope.bounded
+    verts = [[float(x) for x in v] for v in a.polytope.v_rep]
+    if n == 1:
+        euclidean = max(v[0] for v in verts) - min(v[0] for v in verts)
+    else:
+        euclidean = ConvexHull(verts).volume
+    assert float(a.volume) == pytest.approx(factorial(n) * euclidean, rel=1e-9)
+
+
+def test_irregular_bounded_volume_raises():
+    # the level at the origin is the single point lambda = 0
+    a = analyze(corpus.irregular_origin())
+    assert a.polytope.bounded and not a.polytope.empty
+    with pytest.raises(IrregularLevel):
+        a.volume
