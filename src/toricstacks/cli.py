@@ -6,7 +6,8 @@ Subcommands:
   verify  <file>   analyze plus floating-point verification on sampled points
 
 Exit codes: 0 ok / consistent, 2 irregular level, 3 invalid input or nesting
-violation, 4 empty stack, 5 stages inconsistent.
+violation, 4 empty stack, 5 stages inconsistent or a verify check that
+disagrees with the exact verdict (the report is still emitted).
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ EXIT_IRREGULAR = 2
 EXIT_INVALID = 3
 EXIT_EMPTY = 4
 EXIT_INCONSISTENT = 5
+
+# numeric flags that compare a float check with the exact verdict
+AGREEMENT_FLAGS = ("local_freeness_agrees", "kernel_rank_agrees", "transversality_agrees")
 
 
 class InputError(ToricStackError):
@@ -166,6 +170,8 @@ def build_report(analysis: Analysis, stages=None, numeric=None) -> tuple[dict, i
         return report, EXIT_EMPTY
     if not verdict.regular:
         return report, EXIT_IRREGULAR
+    if numeric is not None and not all(numeric[flag] for flag in AGREEMENT_FLAGS):
+        return report, EXIT_INCONSISTENT
     return report, EXIT_OK
 
 

@@ -15,7 +15,9 @@ identity iota_u omega = d<eps, mu> hold exactly and is pinned by a unit test.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyInterior, IllConditioned
 from .geometry import Analysis, ToricStackData
-from .rational import frac, qmat
+from .rational import frac, inv
 
 __all__ = [
     "GENERATOR_SPEED",
@@ -76,16 +78,19 @@ def check_moment_equation(z, eps, h: float) -> float:
     return worst
 
 
+def _float_basis(data: ToricStackData) -> np.ndarray:
+    """The integer lie_algebra_basis as floats (exact below 2**53)."""
+    return data.subgroup.lie_algebra_basis.astype(float)
+
+
 def _generator_matrix(data: ToricStackData, z: np.ndarray) -> np.ndarray:
-    """Real 2N x dim(a) matrix of generators of the subgroup Lie algebra."""
-    basis = data.subgroup.lie_algebra_basis
-    d = basis.shape[0]
-    out = np.zeros((2 * data.N, d))
-    z = np.asarray(z, dtype=complex)
-    for c in range(d):
-        u = generator_field([int(x) for x in basis[c]], z)
-        out[0::2, c] = u.real
-        out[1::2, c] = u.imag
+    """Real 2N x dim(a) matrix of generators of the subgroup Lie algebra:
+    column c interleaves the real and imaginary parts of
+    generator_field(basis[c], z)."""
+    u = -1j * _float_basis(data) * np.asarray(z, dtype=complex)
+    out = np.empty((2 * data.N, u.shape[0]))
+    out[0::2] = u.real.T
+    out[1::2] = u.imag.T
     return out
 
 
@@ -130,14 +135,11 @@ def check_reduced_kernel_rank(data: ToricStackData, z,
     """
     z = np.asarray(z, dtype=complex)
     N = data.N
-    basis = data.subgroup.lie_algebra_basis
+    basis = _float_basis(data)
     d = basis.shape[0]
-    dmu = np.zeros((d, 2 * N))
-    for i in range(d):
-        for j in range(N):
-            a = float(int(basis[i, j]))
-            dmu[i, 2 * j] = 2.0 * a * z[j].real
-            dmu[i, 2 * j + 1] = 2.0 * a * z[j].imag
+    dmu = np.empty((d, 2 * N))
+    dmu[:, 0::2] = 2.0 * basis * z.real
+    dmu[:, 1::2] = 2.0 * basis * z.imag
     if d:
         _, svals, vt = np.linalg.svd(dmu)
         thresh = tol * (svals[0] if svals.size else 1.0)
@@ -146,11 +148,10 @@ def check_reduced_kernel_rank(data: ToricStackData, z,
     else:
         Q = np.eye(2 * N)
 
-    Om = np.zeros((2 * N, 2 * N))
-    for j in range(N):
-        Om[2 * j, 2 * j + 1] = 2.0
-        Om[2 * j + 1, 2 * j] = -2.0
-    W = Q.T @ Om @ Q
+    OmQ = np.empty_like(Q)  # Om @ Q, Om the block diagonal of [[0, 2], [-2, 0]]
+    OmQ[0::2] = 2.0 * Q[1::2]
+    OmQ[1::2] = -2.0 * Q[0::2]
+    W = Q.T @ OmQ
     svals = np.linalg.svd(W, compute_uv=False)
     thresh = tol * 2.0  # tol * ||Om||_2, which bounds ||W||_2 as Q is orthonormal
     below = [s for s in svals if s <= thresh]
@@ -171,66 +172,90 @@ class SamplePoint:
     residual_level_error: float
 
 
+def _recession_rays(analysis: Analysis) -> list[tuple[int, ...]]:
+    """Generators of the recession cone of Delta, as primitive integer
+    directions of x = a_lift + B^T lambda.
+
+    Delta is pointed (B has full row rank), so its recession cone is spanned
+    by the directions of its unbounded edges, and each of those leaves a
+    vertex. At a vertex, n of its tight coordinates J with independent
+    columns b_j give the candidate edges d = M_J^-1 e_k (rows of M_J are the
+    b_j), and d is a recession direction iff b_j . d >= 0 for every j. On a
+    regular level the polytope is simple: J is the whole vertex face. A
+    vertex of an irregular level has more tight coordinates, and every n of
+    them with independent columns is tried.
+    """
+    data = analysis.data
+    n = data.n
+    cols = data.B.T.tolist()  # b_j, the columns of B
+    rays = set()
+    for J, r in analysis.ranks.items():
+        if r < n:
+            continue
+        for K in itertools.combinations(J, n):
+            try:
+                edges = inv([cols[j] for j in K]).T.tolist()  # row k is M_K^-1 e_k
+            except ValueError:  # dependent columns: another subset of J
+                continue
+            for d in edges:
+                dx = [sum(b * di for b, di in zip(col, d)) for col in cols]
+                if min(dx) >= 0:
+                    scale = math.lcm(*(q.denominator for q in dx))
+                    ints = [int(q * scale) for q in dx]
+                    g = math.gcd(*ints)
+                    rays.add(tuple(q // g for q in ints))
+    return sorted(rays)
+
+
 def sample_level_points(analysis: Analysis, count: int, seed: int) -> list[SamplePoint]:
     """Points of Z with exact-by-construction moduli and random phases.
 
-    Interior lambda values are drawn by rejection from a rational bounding
-    box around the vertices (denominator 4096), then z_j = sqrt(x_j) e^{i phi}.
+    Each draw takes strictly positive integer weights w_v in [1, 4096] over
+    the vertices v of Delta and, when Delta is unbounded, t_k in
+    [1/4096, 1] over its recession rays r_k, and sets
+    x = sum w_v x(v) / sum w_v + sum t_k r_k with x(v) = a_lift + B^T v.
+    A strictly positive combination of every vertex and ray lies in the
+    interior of Delta, so every draw has x > 0 exactly and none is
+    rejected; then z_j = sqrt(x_j) e^{i phi_j}. Raises EmptyInterior only
+    when the slice misses the open orthant.
     """
     if not analysis.meets_interior:
         raise EmptyInterior("the slice misses the open orthant; nothing to sample")
     data, poly = analysis.data, analysis.polytope
-    n, N = data.n, data.N
-    B, a = qmat(data.B), data.a_lift
+    B, a = data.B.tolist(), data.a_lift
+    vertex_moduli = [
+        [a[j] + sum(row[j] * vi for row, vi in zip(B, v)) for j in range(data.N)]
+        for v in poly.v_rep
+    ]
+    # the vertex moduli over one common denominator, one column per coordinate
+    vden = math.lcm(*(x.denominator for x in itertools.chain(*vertex_moduli)))
+    columns = [[int(x * vden) for x in col] for col in zip(*vertex_moduli)]
+    rays = [] if poly.bounded else _recession_rays(analysis)
+    ray_columns = list(zip(*rays)) or [()] * data.N
+    lie, af = _float_basis(data), np.array([float(x) for x in a])
     rng = random.Random(seed)
 
-    if n == 0:
-        boxes = []
-    else:
-        lo = [min((v[k] for v in poly.v_rep), default=Fraction(0)) - 1 for k in range(n)]
-        hi = [max((v[k] for v in poly.v_rep), default=Fraction(0)) + 1 for k in range(n)]
-        boxes = list(zip(lo, hi))
+    def dot(u, v):
+        return sum(map(operator.mul, u, v))
 
-    den = 4096
     out = []
-    attempts = 0
-    max_attempts = 20000 * max(count, 1)
-    while len(out) < count:
-        attempts += 1
-        if attempts > max_attempts:
-            raise EmptyInterior("rejection sampling failed to hit the interior")
-        lam = [
-            Fraction(rng.randrange(int(lo * den), int(hi * den) + 1), den)
-            for lo, hi in boxes
-        ]
-        x = [a[j] + sum(B[i, j] * lam[i] for i in range(n)) for j in range(N)]
-        if not all(xj > 0 for xj in x):
-            continue
-        phases = [rng.random() for _ in range(N)]
+    for _ in range(count):
+        w = [rng.randrange(1, 4097) for _ in poly.v_rep]
+        t = [rng.randrange(1, 4097) for _ in rays]  # ray weights t / 4096
+        W = sum(w)
+        x = [Fraction(4096 * dot(w, col) + vden * W * dot(t, ray), 4096 * vden * W)
+             for col, ray in zip(columns, ray_columns)]
+        phases = [rng.random() for _ in range(data.N)]
         z = np.array(
             [math.sqrt(float(xj)) * cmath.exp(2j * math.pi * p)
              for xj, p in zip(x, phases)],
             dtype=complex,
         )
-        out.append(SamplePoint(
-            z=z,
-            moduli=tuple(x),
-            residual_level_error=_level_residual(data, z),
-        ))
+        # relative residual of the subgroup moment level at z
+        xf = np.abs(z) ** 2
+        level = np.max(np.abs(lie @ (xf - af)), initial=0.0) / max(1.0, np.max(xf))
+        out.append(SamplePoint(z=z, moduli=tuple(x), residual_level_error=float(level)))
     return out
-
-
-def _level_residual(data: ToricStackData, z: np.ndarray) -> float:
-    """Relative residual of the subgroup moment level at z."""
-    basis = data.subgroup.lie_algebra_basis
-    xf = np.abs(np.asarray(z, dtype=complex)) ** 2
-    af = np.array([float(v) for v in data.a_lift])
-    worst = 0.0
-    scale = max(1.0, float(np.max(xf)) if len(xf) else 1.0)
-    for i in range(basis.shape[0]):
-        row = np.array([float(int(v)) for v in basis[i]])
-        worst = max(worst, abs(float(row @ (xf - af))) / scale)
-    return worst
 
 
 @dataclass(frozen=True)

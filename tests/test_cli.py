@@ -122,6 +122,38 @@ def test_verify_gerbe_kernel_rank(capsys):
     assert num["kernel_rank_rate"] == 1.0
 
 
+def test_verify_disagreement_exits_5_with_report(capsys):
+    # a rank threshold of 1e300 calls every generator matrix rank-deficient
+    code, out, _ = run_cli(["verify", FIXTURES / "teardrop.json", "--tol", "1e300"], capsys)
+    assert code == cli.EXIT_INCONSISTENT
+    doc = json.loads(out)
+    assert doc["regular"] is True
+    assert doc["numeric"]["local_freeness_agrees"] is False
+    assert doc["numeric"]["kernel_rank_agrees"] is False
+    jsonschema.validate(doc, load_schema("report.schema.json"))
+
+
+# Delta^2 and Delta^3 of side 1/100: (B, a_lift)
+THIN_SIMPLICES = {
+    2: ([[1, 0, -1], [0, 1, -1]], ["1/300", "1/200", "1/600"]),
+    3: ([[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]], ["1/450", "1/900", "1/450", "1/225"]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(THIN_SIMPLICES))
+def test_verify_samples_thin_simplices(n, tmp_path, capsys):
+    # the simplex fills almost none of its bounding box
+    B, a_lift = THIN_SIMPLICES[n]
+    path = tmp_path / f"thin_simplex_{n}.json"
+    identity = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    path.write_text(json.dumps({"N": n + 1, "lattice_hat": identity, "B": B, "a_lift": a_lift}))
+    code, out, err = run_cli(["verify", path, "--samples", "20", "--seed", "1"], capsys)
+    assert code == 0, err
+    num = json.loads(out)["numeric"]
+    assert num["samples"] == 20
+    assert all(num[flag] is True for flag in cli.AGREEMENT_FLAGS)
+
+
 @pytest.mark.parametrize("flags", [
     ["--fd-step", "0"],
     ["--fd-step", "nan"],

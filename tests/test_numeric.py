@@ -2,9 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from toricstacks import corpus
 from toricstacks.errors import EmptyInterior
@@ -21,6 +24,7 @@ from toricstacks.numeric import (
     run_numeric_report,
     sample_level_points,
 )
+from toricstacks.rational import rank
 
 
 def test_generator_speed_pinned():
@@ -148,3 +152,60 @@ def test_run_numeric_report_aggregates():
 def test_run_numeric_report_gerbe_fixture():
     rep = run_numeric_report(analyze(corpus.gerbe_over_point()), samples=10, seed=4)
     assert rep.local_freeness_agrees and rep.kernel_rank_agrees
+
+
+# sides down to 1/10^4: the polytopes fill almost none of their bounding box
+SIDES = st.fractions(min_value=Fraction(1, 10**4), max_value=3, max_denominator=10**4)
+
+
+@st.composite
+def thin_simplices(draw):
+    """Delta^n of side `side`, reduction of C^(n+1) by the diagonal circle."""
+    n = draw(st.integers(1, 4))
+    side = draw(SIDES)
+    weights = draw(st.lists(st.integers(1, 9), min_size=n + 1, max_size=n + 1))
+    B = [[int(i == j) for j in range(n)] + [-1] for i in range(n)]
+    return toric_stack_data(identity(n + 1), B, [side * w / sum(weights) for w in weights])
+
+
+@st.composite
+def thin_boxes(draw):
+    """The box prod_i [-a_i, a_(n+i)] with sides a_i + a_(n+i) in SIDES."""
+    n = draw(st.integers(1, 3))
+    sides = draw(st.lists(SIDES, min_size=n, max_size=n))
+    splits = draw(st.lists(st.integers(1, 15), min_size=n, max_size=n))
+    low = [s * k / 16 for s, k in zip(sides, splits)]
+    B = [[int(i == j) for j in range(n)] + [-int(i == j) for j in range(n)] for i in range(n)]
+    return toric_stack_data(identity(2 * n), B, low + [s - x for s, x in zip(sides, low)])
+
+
+@st.composite
+def unbounded_levels(draw):
+    """Random full-row-rank B whose first row is nonnegative and nonzero, so
+    lambda = e_1 is a recession direction; levels may be irregular."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(n + 1, n + 3))
+    B = [draw(st.lists(st.integers(-3, 3), min_size=N, max_size=N)) for _ in range(n)]
+    B[0] = [abs(x) for x in B[0]]
+    assume(any(B[0]) and rank(B) == n)
+    a = draw(st.lists(st.integers(-2, 6), min_size=N, max_size=N))
+    den = draw(st.integers(1, 4))
+    return toric_stack_data(identity(N), B, [Fraction(x, den) for x in a])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.one_of(thin_simplices(), thin_boxes(), unbounded_levels()),
+       seed=st.integers(0, 2**16))
+@example(data=corpus.full_rank_square(), seed=0)  # its only vertex has x = 0
+def test_sampler_draws_interior_points_exactly(data, seed):
+    a = analyze(data)
+    assume(a.meets_interior)
+    points = sample_level_points(a, 6, seed)
+    assert len(points) == 6
+    lie = data.subgroup.lie_algebra_basis.tolist()
+    for p in points:
+        assert all(isinstance(x, Fraction) and x > 0 for x in p.moduli)
+        # x - a_lift lies in the image of B^T, the level of the subgroup
+        diff = [x - a_j for x, a_j in zip(p.moduli, data.a_lift)]
+        assert all(sum(l * d for l, d in zip(row, diff)) == 0 for row in lie)
+        assert np.allclose(np.abs(p.z) ** 2, [float(x) for x in p.moduli])
